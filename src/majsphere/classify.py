@@ -3,12 +3,17 @@
 Two symmetric states are SLOCC-equivalent exactly when some Moebius map
 carries the sphere points of one onto the other (multiplicities included);
 they are LOCC-equivalent when that map can be chosen as a sphere rotation.
-Since a Moebius map is fixed by its action on three points, the deciders
-enumerate candidate maps built from triples of distinct point sites and
-verify them against the full clustered multiset, which makes the decision
-exhaustive.  The degeneracy configuration (the sorted multiplicity
-partition) is invariant under all of these operations and provides the
-cheap first filter.
+A Moebius map is fixed by the images of three points, and any such map must
+send the first three serialized sites of one state to three distinct sites
+of the other with the same multiplicities.  The deciders therefore build one
+candidate map per multiplicity-compatible ordered target triple, at most
+d(d-1)(d-2) of them for d sites, and accept the first that carries the full
+clustered multiset, which keeps the decision exhaustive.  The candidates are
+screened together as arrays before the exact per-map check.  When sites sit
+at the edge of the tolerance, a site assignment the screen keeps also tries
+the maps through the other source triples and a least-squares map.  The
+degeneracy configuration (the sorted multiplicity partition) is invariant
+under all of these operations and provides the cheap first filter.
 """
 
 from __future__ import annotations
@@ -19,9 +24,12 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .errors import DomainError
 from .moebius import (
     MoebiusMap,
+    _homog,
     from_three_points,
     is_projective_unitary,
 )
@@ -39,6 +47,9 @@ from .symstate import RootMultiset, SymmetricState, majorana_roots
 
 #: default chordal tolerance for clustering and multiset matching
 DEFAULT_TOL = 1e-7
+
+#: rounding allowance of the candidate screen, per unit of condition number
+_ROUNDING_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -177,41 +188,152 @@ def _two_site_map(anchor: ExtendedComplex, other: ExtendedComplex) -> MoebiusMap
 def _maps_multiset(
     m: MoebiusMap, sites1: ClusteredRoots, sites2: ClusteredRoots, tol: float
 ) -> bool:
-    """Greedy nearest-neighbor check that m carries sites1 bijectively onto
-    sites2 with matching multiplicities."""
-    used = [False] * len(sites2.sites)
+    """Whether m carries sites1 bijectively onto sites2 with matching
+    multiplicities: a perfect matching, found by augmenting paths, over the
+    same-multiplicity site pairs that m brings within ``tol``."""
+    targets = sites2.sites
+    edges = []
     for site, mult in sites1.sites:
         image = m(site)
-        best = -1
-        best_dist = math.inf
-        for j, (target, _) in enumerate(sites2.sites):
-            if used[j]:
-                continue
-            d = chordal_distance(image, target)
-            if d < best_dist:
-                best, best_dist = j, d
-        if best < 0 or best_dist > tol or sites2.sites[best][1] != mult:
-            return False
-        used[best] = True
-    return True
+        edges.append([
+            j
+            for j, (target, target_mult) in enumerate(targets)
+            if target_mult == mult and chordal_distance(image, target) <= tol
+        ])
+    owner = [-1] * len(targets)
+
+    def augment(i: int, seen: list[bool]) -> bool:
+        for j in edges[i]:
+            if not seen[j]:
+                seen[j] = True
+                if owner[j] < 0 or augment(owner[j], seen):
+                    owner[j] = i
+                    return True
+        return False
+
+    return all(augment(i, [False] * len(targets)) for i in range(len(edges)))
 
 
-def _candidate_maps(sites1: ClusteredRoots, sites2: ClusteredRoots):
-    """All maps built from multiplicity-compatible ordered site triples, in
-    serialized site order (which makes the accepted witness deterministic)."""
-    idx1 = range(len(sites1.sites))
-    idx2 = range(len(sites2.sites))
-    for t1 in itertools.permutations(idx1, 3):
-        mults1 = tuple(sites1.sites[i][1] for i in t1)
-        source = tuple(sites1.sites[i][0] for i in t1)
-        for t2 in itertools.permutations(idx2, 3):
-            if tuple(sites2.sites[j][1] for j in t2) != mults1:
-                continue
-            target = tuple(sites2.sites[j][0] for j in t2)
+def _target_triples(sites1: ClusteredRoots, sites2: ClusteredRoots) -> list[tuple[int, ...]]:
+    """Ordered triples of sites2 indices whose multiplicities match those of
+    the first three serialized sites of sites1, in lexicographic order."""
+    mults1 = sites1.multiplicities()[:3]
+    mults2 = sites2.multiplicities()
+    return [
+        t
+        for t in itertools.permutations(range(len(mults2)), 3)
+        if tuple(mults2[j] for j in t) == mults1
+    ]
+
+
+def _homogeneous(points) -> np.ndarray:
+    """Unit homogeneous coordinates of points as a 2xN array."""
+    h = np.array([_homog(p) for p in points], dtype=complex).T
+    return h / np.hypot(np.abs(h[0]), np.abs(h[1]))
+
+
+def _to_zero_one_inf_matrices(h: np.ndarray, triples: np.ndarray) -> np.ndarray:
+    """Kx2x2 matrices of the maps sending each triple of columns of h to
+    (0, 1, inf), from the same homogeneous minors as the scalar
+    construction in :mod:`moebius`."""
+    (x1, x2, x3), (y1, y2, y3) = h[:, triples.T]
+    d23 = x2 * y3 - x3 * y2
+    d21 = x2 * y1 - x1 * y2
+    return np.stack([y1 * d23, -x1 * d23, y3 * d21, -x3 * d21], axis=-1).reshape(-1, 2, 2)
+
+
+def _gram(mats: np.ndarray) -> np.ndarray:
+    """M^dag M of each 2x2 matrix M scaled to determinant one."""
+    det = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
+    return np.conj(np.swapaxes(mats, 1, 2)) @ mats / np.abs(det)[:, None, None]
+
+
+def _condition(mats: np.ndarray) -> np.ndarray:
+    """Condition number |M|_F^2 / |det M| of each 2x2 matrix."""
+    return np.trace(_gram(mats), axis1=1, axis2=2).real
+
+
+def _candidate_maps(
+    sites1: ClusteredRoots, sites2: ClusteredRoots, tol: float, unitary: bool
+):
+    """Candidate witnesses in the order of the exhaustive search over all
+    ordered source and target triples (source triple first, both
+    lexicographic), restricted to the site assignments a witness can have.
+
+    A witness assigns each site of sites1 to a site of sites2 of the same
+    multiplicity, so it shows up among the maps sending the first three
+    sites to the multiplicity-compatible target triples.  Those maps are
+    screened together as arrays; one is kept when it puts every site within
+    ``near`` of a target of its multiplicity (and, for LOCC, is within
+    ``near`` of a rotation).  ``near`` is 2*tol plus tol times the
+    interpolation's condition number, plus rounding: a witness through
+    another source triple pins the first three sites only within tol.  The
+    nearest-target assignment of each kept map then names one target triple
+    per source triple.  For the first source triple that is the kept map
+    itself, which is the witness unless sites sit at the edge of the
+    tolerance, so the search costs O(d^3) unless a kept map fails.  After
+    every triple, each kept assignment's least-squares map is tried: when
+    sites are read off nearly tol from where a map puts them, a map through
+    three of them can miss the rest where one sharing the error does not.
+    """
+    triples = np.array(_target_triples(sites1, sites2))
+    points1, points2 = sites1.points(), sites2.points()
+    h1, h2 = _homogeneous(points1), _homogeneous(points2)
+    fwd = _to_zero_one_inf_matrices(h1, np.array([[0, 1, 2]]))
+    back = _to_zero_one_inf_matrices(h2, triples)
+    # the adjugate inverts each target map up to a scale the distances ignore
+    back_inv = np.stack(
+        [back[:, 1, 1], -back[:, 0, 1], -back[:, 1, 0], back[:, 0, 0]], axis=-1
+    ).reshape(-1, 2, 2)
+    maps = back_inv @ fwd
+    images = maps @ h1
+    cross = images[:, 0, :, None] * h2[1] - images[:, 1, :, None] * h2[0]
+    dist = 2.0 * np.abs(cross) / np.hypot(np.abs(images[:, 0]), np.abs(images[:, 1]))[:, :, None]
+    same_mult = np.equal.outer(sites1.multiplicities(), sites2.multiplicities())
+    dist = np.where(same_mult, dist, np.inf)
+    cond = _condition(fwd) * _condition(back)
+    near = (2.0 + cond) * tol + _ROUNDING_SLACK * cond
+    kept = np.all(dist.min(axis=2) <= near[:, None], axis=1)
+    if unitary:
+        kept &= np.abs(_gram(maps) - np.eye(2)).max(axis=(1, 2)) <= near
+    assignments = sorted({tuple(a) for a in dist[kept].argmin(axis=2).tolist()})
+    if not assignments:
+        return
+    for t1 in itertools.permutations(range(len(points1)), 3):
+        source = tuple(points1[i] for i in t1)
+        for t2 in sorted({tuple(a[i] for i in t1) for a in assignments}):
             try:
-                yield from_three_points(*source, *target)
+                yield from_three_points(*source, *(points2[j] for j in t2))
             except DomainError:
                 continue
+    for a in assignments:
+        try:
+            yield _least_squares_map(h1, h2[:, list(a)])
+        except DomainError:
+            continue
+
+
+def _least_squares_map(h1: np.ndarray, h2: np.ndarray) -> MoebiusMap:
+    """Map whose matrix M minimizes sum |M h1_i x h2_i|^2 over unit matrices:
+    for unit homogeneous columns each term is about a squared chordal
+    distance, so the error is shared among all pairs instead of pinned on
+    three."""
+    (p, q), (u, v) = h1, h2
+    rows = np.stack([p * v, q * v, -p * u, -q * u], axis=1)
+    return MoebiusMap(*np.linalg.svd(rows)[2][-1].conj())
+
+
+def _witness_map(
+    sites1: ClusteredRoots, sites2: ClusteredRoots, tol: float, unitary: bool
+) -> Optional[MoebiusMap]:
+    """First candidate map that is a rotation (when ``unitary``) and carries
+    sites1 onto sites2, or None."""
+    for candidate in _candidate_maps(sites1, sites2, tol, unitary):
+        if unitary and is_projective_unitary(candidate, tol) is None:
+            continue
+        if _maps_multiset(candidate, sites1, sites2, tol):
+            return candidate
+    return None
 
 
 def _low_diversity_witness(
@@ -256,15 +378,15 @@ def _decide(
         return None if witness is None else EquivalenceWitness(witness, kind)
     if d == 3 and not unitary:
         # a single class: any multiplicity-respecting site assignment works
-        for candidate in _candidate_maps(sites1, sites2):
-            return EquivalenceWitness(candidate, kind)
-        return None
-    for candidate in _candidate_maps(sites1, sites2):
-        if unitary and is_projective_unitary(candidate, tol) is None:
-            continue
-        if _maps_multiset(candidate, sites1, sites2, tol):
-            return EquivalenceWitness(candidate, kind)
-    return None
+        target = _target_triples(sites1, sites2)[0]
+        points2 = sites2.points()
+        try:
+            witness = from_three_points(*sites1.points(), *(points2[j] for j in target))
+        except DomainError:
+            return None
+        return EquivalenceWitness(witness, kind)
+    witness = _witness_map(sites1, sites2, tol, unitary)
+    return None if witness is None else EquivalenceWitness(witness, kind)
 
 
 def slocc_equivalent(
@@ -273,9 +395,9 @@ def slocc_equivalent(
     """Moebius witness that s1 and s2 lie in the same SLOCC class, or None.
 
     Diversity up to three is a single class per partition, so a witness is
-    built directly; beyond that all ordered site triples are enumerated
-    against all multiplicity-compatible target triples and the first map
-    carrying the whole multiset is accepted.
+    built directly; beyond that the first three serialized sites of s1 are
+    sent to every multiplicity-compatible ordered target triple of s2 and the
+    first map carrying the whole multiset is accepted.
     """
     return _decide(s1, s2, tol, unitary=False)
 
@@ -285,9 +407,10 @@ def locc_equivalent(
 ) -> Optional[EquivalenceWitness]:
     """Rotation witness that s1 and s2 are LOCC-equivalent, or None.
 
-    Same enumeration as :func:`slocc_equivalent` but candidates must pass the
-    projective-unitarity test; one- and two-site configurations are handled
-    by an explicit rotation construction.
+    Same fixed-triple enumeration as :func:`slocc_equivalent` (three sites
+    included) but candidates must also pass the projective-unitarity test;
+    one- and two-site configurations are handled by an explicit rotation
+    construction.
     """
     return _decide(s1, s2, tol, unitary=True)
 

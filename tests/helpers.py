@@ -53,8 +53,10 @@ def random_point(rng, allow_infinity=False):
     return ExtendedComplex(cmath.rect(1.0 / math.tan(theta / 2.0), -phi))
 
 
-def separated_points(rng, count, min_sep, allow_infinity=False):
-    points = []
+def separated_points(rng, count, min_sep, allow_infinity=False, anchors=()):
+    """``count`` points pairwise farther than min_sep apart, starting with
+    the given anchors."""
+    points = list(anchors)
     while len(points) < count:
         p = random_point(rng, allow_infinity)
         if all(chordal_distance(p, q) > min_sep for q in points):

@@ -1,20 +1,29 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from majsphere import (
     DomainError,
     INFINITY,
+    ExtendedComplex,
+    MoebiusMap,
     RootMultiset,
     SymmetricState,
     apply_symmetric,
+    apply_tensor,
+    chordal_distance,
     cocircularity_witness,
     cross_ratio_fingerprint,
     degeneracy_configuration,
     dicke,
+    equal_up_to_scale,
+    expand_full,
     fidelity,
     fingerprints_intersect,
+    from_three_points,
     is_projective_unitary,
     locc_equivalent,
     majorana_roots,
@@ -23,7 +32,15 @@ from majsphere import (
     state_from_roots,
 )
 from majsphere.canonical import family_state_4, param_to_t
-from helpers import OMEGA, random_moebius, random_rotation, random_state, separated_root_multiset
+from majsphere.classify import ClusteredRoots, _maps_multiset, _site_sort_key, _witness_map
+from helpers import (
+    OMEGA,
+    random_moebius,
+    random_rotation,
+    random_state,
+    separated_points,
+    separated_root_multiset,
+)
 
 GHZ3 = SymmetricState([1.0, 0.0, 0.0, 1.0])
 
@@ -211,6 +228,229 @@ class TestLoccDecider:
                 assert slocc is not None
             if slocc is not None:
                 assert dc1.partition == dc2.partition
+
+
+def all_triples_reference(sites1, sites2, unitary, tol=1e-7):
+    """Witness matrix of the O(d^6) search the deciders used to run, or None:
+    every ordered source triple against every multiplicity-compatible target
+    triple, in serialized order.  Valid from four sites up."""
+    for t1 in itertools.permutations(range(len(sites1.sites)), 3):
+        mults1 = tuple(sites1.sites[i][1] for i in t1)
+        source = tuple(sites1.sites[i][0] for i in t1)
+        for t2 in itertools.permutations(range(len(sites2.sites)), 3):
+            if tuple(sites2.sites[j][1] for j in t2) != mults1:
+                continue
+            try:
+                m = from_three_points(*source, *(sites2.sites[j][0] for j in t2))
+            except DomainError:
+                continue
+            if unitary and is_projective_unitary(m, tol) is None:
+                continue
+            if _maps_multiset(m, sites1, sites2, tol):
+                return m.matrix
+    return None
+
+
+def reference_decision(s1, s2, unitary, tol=1e-7):
+    dc1, sites1 = degeneracy_configuration(majorana_roots(s1), tol)
+    dc2, sites2 = degeneracy_configuration(majorana_roots(s2), tol)
+    if dc1.partition != dc2.partition:
+        return None
+    return all_triples_reference(sites1, sites2, unitary, tol)
+
+
+def carries(m, sites1, sites2, tol):
+    """Whether some bijection of sites, multiplicities kept, has m put every
+    site within tol of its partner: the witness condition by brute force."""
+    targets = sites2.sites
+    return any(
+        all(
+            mult == targets[j][1] and chordal_distance(m(site), targets[j][0]) <= tol
+            for (site, mult), j in zip(sites1.sites, perm)
+        )
+        for perm in itertools.permutations(range(len(targets)))
+    )
+
+
+def sorted_sites(pairs):
+    return ClusteredRoots(tuple(sorted(pairs, key=lambda pair: _site_sort_key(pair[0]))))
+
+
+def nudged(p, rng, chord):
+    """A finite point about ``chord`` (chordal) from p in a random direction."""
+    w = p.value
+    return ExtendedComplex(w + 0.5 * chord * (1 + abs(w) ** 2) * np.exp(2j * np.pi * rng.uniform()))
+
+
+def state_at(points, mults):
+    finite = tuple(p.value for p, m in zip(points, mults) if not p.is_infinite for _ in range(m))
+    return state_from_roots(RootMultiset(sum(mults), finite, sum(mults) - len(finite)))
+
+
+def assert_oracle_witness(witness, s1, s2):
+    image = apply_tensor(witness.map, expand_full(s1))
+    assert equal_up_to_scale(image, expand_full(s2), 1e-8)
+
+
+class TestMultisetMatching:
+    TOL = 1e-7
+
+    def test_matching_finds_what_greedy_misses(self):
+        # near 0 the chordal distance is 2|dz|: site A lies closer to B's
+        # target than to its own, so a nearest-neighbour pass hands B's
+        # target to A and leaves B out of reach of A's
+        a, a_target = 0.0, -0.45e-7
+        b_target, b = 0.3e-7, 0.75e-7
+        assert chordal_distance(a, b_target) < chordal_distance(a, a_target) <= self.TOL
+        assert chordal_distance(b, b_target) <= self.TOL < chordal_distance(b, a_target)
+        far = ExtendedComplex(1j)
+        sites1 = ClusteredRoots(((ExtendedComplex(a), 1), (ExtendedComplex(b), 1), (far, 1)))
+        sites2 = ClusteredRoots(
+            ((ExtendedComplex(a_target), 1), (ExtendedComplex(b_target), 1), (far, 1))
+        )
+        assert _maps_multiset(MoebiusMap.identity(), sites1, sites2, self.TOL)
+
+    def test_multiplicities_and_reach_are_required(self):
+        near, far = ExtendedComplex(0.0), ExtendedComplex(1.0)
+        sites1 = ClusteredRoots(((near, 2), (far, 1)))
+        identity = MoebiusMap.identity()
+        assert _maps_multiset(identity, sites1, sites1, self.TOL)
+        swapped = ClusteredRoots(((near, 1), (far, 2)))
+        assert not _maps_multiset(identity, sites1, swapped, self.TOL)
+        moved = ClusteredRoots(((near, 2), (ExtendedComplex(1.0 + 1e-6), 1)))
+        assert not _maps_multiset(identity, sites1, moved, self.TOL)
+
+
+ANCHORS = ((), (ExtendedComplex(0.0),), (INFINITY,), (ExtendedComplex(0.0), INFINITY))
+
+
+class TestExhaustiveSearch:
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(
+        d=st.integers(4, 6),
+        doubled=st.booleans(),
+        relation=st.sampled_from(["norm4", "norm20", "norm100", "rotation", "inequivalent"]),
+        anchors=st.sampled_from(ANCHORS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fixed_triple_matches_all_triples(self, d, doubled, relation, anchors, seed):
+        rng = np.random.default_rng(seed)
+        mults = [2 if doubled and i == 0 else 1 for i in range(d)]
+        s1 = state_at(separated_points(rng, d, 0.15, anchors=anchors), mults)
+        if relation == "inequivalent":
+            s2 = state_at(separated_points(rng, d, 0.15, anchors=anchors), mults)
+        elif relation == "rotation":
+            s2 = apply_symmetric(random_rotation(rng), s1)
+        else:
+            s2 = apply_symmetric(random_moebius(rng, float(relation[4:])), s1)
+        for decide, unitary in ((slocc_equivalent, False), (locc_equivalent, True)):
+            witness = decide(s1, s2)
+            reference = reference_decision(s1, s2, unitary)
+            assert (witness is None) == (reference is None)
+            if relation != "inequivalent" and (relation == "rotation" or not unitary):
+                assert witness is not None
+            if witness is not None:
+                assert np.array_equal(witness.map.matrix, reference)
+                assert_oracle_witness(witness, s1, s2)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(
+        d=st.integers(4, 5),
+        doubled=st.booleans(),
+        max_norm=st.sampled_from([4.0, 20.0, 100.0]),
+        unitary=st.booleans(),
+        noise=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fixed_triple_matches_all_triples_at_the_tolerance_edge(
+        self, d, doubled, max_norm, unitary, noise, seed
+    ):
+        # images read off up to about tol away from where the map puts them,
+        # as roots of a state often are: the map through the first three
+        # sites can then miss where one through another triple still carries
+        tol = 1e-7
+        rng = np.random.default_rng(seed)
+        mults = [2 if doubled and i == 0 else 1 for i in range(d)]
+        points = separated_points(rng, d, 0.15)
+        m = random_rotation(rng) if unitary else random_moebius(rng, max_norm)
+        sites1 = sorted_sites(zip(points, mults))
+        sites2 = sorted_sites(
+            (nudged(m(p), rng, noise * tol * rng.uniform()), mult) for p, mult in zip(points, mults)
+        )
+        witness = _witness_map(sites1, sites2, tol, unitary)
+        reference = all_triples_reference(sites1, sites2, unitary, tol)
+        if reference is not None:
+            assert np.array_equal(witness.matrix, reference)
+        elif witness is not None:
+            # found where every map through three sites misses
+            assert carries(witness, sites1, sites2, tol)
+            assert not unitary or is_projective_unitary(witness, tol) is not None
+
+    def test_witness_through_a_later_source_triple(self):
+        # library sites of a (3,2,1,1,1) state and of its image under a
+        # contracting map; the map through the first three sites misses two
+        # sites by 3.5e-7 and 6.6e-7, the one through sites 1, 2, 3 carries all
+        sites1 = ClusteredRoots((
+            (ExtendedComplex(-0.33770778780087773 - 0.16831263475813088j), 1),
+            (ExtendedComplex(-0.0009605777782914852 - 0.5219827612229895j), 1),
+            (ExtendedComplex(-0.5998568781829923 - 0.1367492305886341j), 3),
+            (ExtendedComplex(0.882705827485008 - 0.40994739985603196j), 1),
+            (ExtendedComplex(1.7849928330067757 - 0.3792327751519813j), 2),
+        ))
+        sites2 = ClusteredRoots((
+            (ExtendedComplex(0.3787733251521762 + 0.4252880117622395j), 2),
+            (ExtendedComplex(0.4217731401060576 + 0.4282269767437737j), 1),
+            (ExtendedComplex(0.46787522856875774 + 0.4775199533070994j), 1),
+            (ExtendedComplex(0.52093810653959 + 0.5030228761106808j), 1),
+            (ExtendedComplex(0.5248132356922883 + 0.5465816661878204j), 3),
+        ))
+        witness = _witness_map(sites1, sites2, 1e-7, unitary=False)
+        assert witness is not None
+        assert np.array_equal(witness.matrix, all_triples_reference(sites1, sites2, False))
+        expected = from_three_points(*sites1.points()[1:4], *(sites2.points()[j] for j in (2, 4, 1)))
+        assert np.array_equal(witness.matrix, expected.matrix)
+
+    def test_least_squares_witness_where_every_triple_misses(self):
+        # library sites of a (2,2,1,1,1) state and of its image under a
+        # contracting map; rounding of the image's amplitudes moved one root
+        # 1.0e-7 from where the map puts it, so no map through three sites
+        # carries all five, but the least-squares map does (largest miss 8.9e-8)
+        sites1 = ClusteredRoots((
+            (ExtendedComplex(-0.8215087234369354 + 0.7420939762968632j), 2),
+            (ExtendedComplex(0.3149050626844353 + 1.1514282701122827j), 1),
+            (ExtendedComplex(-0.8631095174064237 + 0.9967956015706181j), 1),
+            (ExtendedComplex(-1.424305197251991 + 0.7323695803792637j), 2),
+            (ExtendedComplex(-1.9731100087518672 + 4.521501577045802j), 1),
+        ))
+        sites2 = ClusteredRoots((
+            (ExtendedComplex(0.3799756491371251 - 0.32633046645960195j), 1),
+            (ExtendedComplex(0.3765463869875997 - 0.4010730001948696j), 1),
+            (ExtendedComplex(0.43557452496085114 - 0.3753477975878319j), 1),
+            (ExtendedComplex(0.4535416883320524 - 0.37585349193597545j), 2),
+            (ExtendedComplex(0.43475417183303167 - 0.4075692908689472j), 2),
+        ))
+        assert all_triples_reference(sites1, sites2, False) is None
+        witness = _witness_map(sites1, sites2, 1e-7, unitary=False)
+        assert witness is not None
+        assert carries(witness, sites1, sites2, 1e-7)
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_large_inequivalent_pairs(self, n):
+        rng = np.random.default_rng(70 + n)
+        s1 = state_from_roots(separated_root_multiset(rng, n, 0.1))
+        s2 = state_from_roots(separated_root_multiset(rng, n, 0.1))
+        assert slocc_equivalent(s1, s2) is None
+        assert locc_equivalent(s1, s2) is None
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_large_slocc_only_pairs(self, n):
+        rng = np.random.default_rng(80 + n)
+        s1 = state_from_roots(separated_root_multiset(rng, n, 0.1))
+        s2 = apply_symmetric(random_moebius(rng), s1)
+        witness = slocc_equivalent(s1, s2)
+        assert witness is not None
+        assert_oracle_witness(witness, s1, s2)
+        assert locc_equivalent(s1, s2) is None
 
 
 class TestFingerprint:
