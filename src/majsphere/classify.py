@@ -9,9 +9,9 @@ of the other with the same multiplicities.  The deciders therefore build one
 candidate map per multiplicity-compatible ordered target triple, at most
 d(d-1)(d-2) of them for d sites, and accept the first that carries the full
 clustered multiset, which keeps the decision exhaustive.  The candidates are
-screened together as arrays before the exact per-map check.  When sites sit
-at the edge of the tolerance, a site assignment the screen keeps also tries
-the maps through the other source triples and a least-squares map.  The
+screened as arrays, in blocks of bounded size, before the exact per-map
+check.  When sites sit at the edge of the tolerance, a site assignment the
+screen keeps also tries the maps through the other source triples.  The
 degeneracy configuration (the sorted multiplicity partition) is invariant
 under all of these operations and provides the cheap first filter.
 """
@@ -50,6 +50,9 @@ DEFAULT_TOL = 1e-7
 
 #: rounding allowance of the candidate screen, per unit of condition number
 _ROUNDING_SLACK = 1e-12
+
+#: distances the candidate screen holds at once, one per map and target site
+_SCREEN_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -214,16 +217,24 @@ def _maps_multiset(
     return all(augment(i, [False] * len(targets)) for i in range(len(edges)))
 
 
-def _target_triples(sites1: ClusteredRoots, sites2: ClusteredRoots) -> list[tuple[int, ...]]:
+def _target_triples(sites1: ClusteredRoots, sites2: ClusteredRoots, rows: int):
     """Ordered triples of sites2 indices whose multiplicities match those of
-    the first three serialized sites of sites1, in lexicographic order."""
+    the first three serialized sites of sites1, in lexicographic order, as
+    int arrays of ``rows`` triples (the last may hold fewer)."""
     mults1 = sites1.multiplicities()[:3]
-    mults2 = sites2.multiplicities()
-    return [
-        t
-        for t in itertools.permutations(range(len(mults2)), 3)
-        if tuple(mults2[j] for j in t) == mults1
-    ]
+    mults2 = np.array(sites2.multiplicities())
+    first, second, third = (np.flatnonzero(mults2 == m) for m in mults1)
+    pairs = np.stack(np.meshgrid(second, third, indexing="ij"), axis=-1).reshape(-1, 2)
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    block = np.empty((0, 3), dtype=int)
+    for i in first:
+        tail = pairs[(pairs != i).all(axis=1)]
+        block = np.concatenate([block, np.column_stack([np.full(len(tail), i), tail])])
+        while len(block) >= rows:
+            yield block[:rows]
+            block = block[rows:]
+    if len(block):
+        yield block
 
 
 def _homogeneous(points) -> np.ndarray:
@@ -253,6 +264,46 @@ def _condition(mats: np.ndarray) -> np.ndarray:
     return np.trace(_gram(mats), axis1=1, axis2=2).real
 
 
+def _screen(
+    h1: np.ndarray,
+    h2: np.ndarray,
+    fwd: np.ndarray,
+    triples: np.ndarray,
+    same_mult: np.ndarray,
+    tol: float,
+    unitary: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Screen the maps sending the first three columns of h1 to each target
+    triple of columns of h2 (fwd sends the former to (0, 1, inf)).
+
+    Returns the indices of the kept maps and, per kept map, the nearest
+    same-multiplicity target of every site.  A map is kept when every site
+    lands within ``near`` of such a target (and, for LOCC, the map is within
+    ``near`` of a rotation).  Sites are measured one at a time, starting
+    with the fourth, against the maps still kept: the fourth alone rules out
+    almost every map, and memory stays at one distance per map and target.
+    """
+    back = _to_zero_one_inf_matrices(h2, triples)
+    # the adjugate inverts each target map up to a scale the distances ignore
+    back_inv = np.stack(
+        [back[:, 1, 1], -back[:, 0, 1], -back[:, 1, 0], back[:, 0, 0]], axis=-1
+    ).reshape(-1, 2, 2)
+    maps = back_inv @ fwd
+    cond = _condition(fwd) * _condition(back)
+    near = (2.0 + cond) * tol + _ROUNDING_SLACK * cond
+    rows = np.arange(len(maps))
+    if unitary:
+        rows = np.flatnonzero(np.abs(_gram(maps) - np.eye(2)).max(axis=(1, 2)) <= near)
+    nearest = np.empty((len(maps), len(same_mult)), dtype=int)
+    for i in [*range(3, len(same_mult)), 0, 1, 2]:
+        x, y = (maps[rows] @ h1[:, i]).T
+        cross = np.where(same_mult[i], np.abs(x[:, None] * h2[1] - y[:, None] * h2[0]), np.inf)
+        dist = 2.0 * cross / np.hypot(np.abs(x), np.abs(y))[:, None]
+        nearest[rows, i] = dist.argmin(axis=1)
+        rows = rows[dist[np.arange(len(rows)), nearest[rows, i]] <= near[rows]]
+    return rows, nearest[rows]
+
+
 def _candidate_maps(
     sites1: ClusteredRoots, sites2: ClusteredRoots, tol: float, unitary: bool
 ):
@@ -263,64 +314,40 @@ def _candidate_maps(
     A witness assigns each site of sites1 to a site of sites2 of the same
     multiplicity, so it shows up among the maps sending the first three
     sites to the multiplicity-compatible target triples.  Those maps are
-    screened together as arrays; one is kept when it puts every site within
-    ``near`` of a target of its multiplicity (and, for LOCC, is within
-    ``near`` of a rotation).  ``near`` is 2*tol plus tol times the
+    screened as arrays, a block of target triples at a time so that memory
+    stays bounded for many sites; a map is kept when it puts every site
+    within ``near`` of a target of its multiplicity (and, for LOCC, is
+    within ``near`` of a rotation).  ``near`` is 2*tol plus tol times the
     interpolation's condition number, plus rounding: a witness through
     another source triple pins the first three sites only within tol.  The
-    nearest-target assignment of each kept map then names one target triple
-    per source triple.  For the first source triple that is the kept map
-    itself, which is the witness unless sites sit at the edge of the
-    tolerance, so the search costs O(d^3) unless a kept map fails.  After
-    every triple, each kept assignment's least-squares map is tried: when
-    sites are read off nearly tol from where a map puts them, a map through
-    three of them can miss the rest where one sharing the error does not.
+    kept maps are tried as each block is screened, which finds the witness
+    unless sites sit at the edge of the tolerance, so the search costs
+    O(d^3) unless a kept map fails.  Then the nearest-target assignment of
+    each kept map names one target triple per other source triple, and
+    those maps are tried in order.
     """
-    triples = np.array(_target_triples(sites1, sites2))
     points1, points2 = sites1.points(), sites2.points()
     h1, h2 = _homogeneous(points1), _homogeneous(points2)
     fwd = _to_zero_one_inf_matrices(h1, np.array([[0, 1, 2]]))
-    back = _to_zero_one_inf_matrices(h2, triples)
-    # the adjugate inverts each target map up to a scale the distances ignore
-    back_inv = np.stack(
-        [back[:, 1, 1], -back[:, 0, 1], -back[:, 1, 0], back[:, 0, 0]], axis=-1
-    ).reshape(-1, 2, 2)
-    maps = back_inv @ fwd
-    images = maps @ h1
-    cross = images[:, 0, :, None] * h2[1] - images[:, 1, :, None] * h2[0]
-    dist = 2.0 * np.abs(cross) / np.hypot(np.abs(images[:, 0]), np.abs(images[:, 1]))[:, :, None]
     same_mult = np.equal.outer(sites1.multiplicities(), sites2.multiplicities())
-    dist = np.where(same_mult, dist, np.inf)
-    cond = _condition(fwd) * _condition(back)
-    near = (2.0 + cond) * tol + _ROUNDING_SLACK * cond
-    kept = np.all(dist.min(axis=2) <= near[:, None], axis=1)
-    if unitary:
-        kept &= np.abs(_gram(maps) - np.eye(2)).max(axis=(1, 2)) <= near
-    assignments = sorted({tuple(a) for a in dist[kept].argmin(axis=2).tolist()})
+    assignments = set()
+    for chunk in _target_triples(sites1, sites2, _SCREEN_ENTRIES // len(points2)):
+        kept, assigned = _screen(h1, h2, fwd, chunk, same_mult, tol, unitary)
+        assignments.update(map(tuple, assigned.tolist()))
+        for t2 in chunk[kept].tolist():
+            try:
+                yield from_three_points(*points1[:3], *(points2[j] for j in t2))
+            except DomainError:
+                continue
     if not assignments:
         return
-    for t1 in itertools.permutations(range(len(points1)), 3):
+    for t1 in itertools.islice(itertools.permutations(range(len(points1)), 3), 1, None):
         source = tuple(points1[i] for i in t1)
         for t2 in sorted({tuple(a[i] for i in t1) for a in assignments}):
             try:
                 yield from_three_points(*source, *(points2[j] for j in t2))
             except DomainError:
                 continue
-    for a in assignments:
-        try:
-            yield _least_squares_map(h1, h2[:, list(a)])
-        except DomainError:
-            continue
-
-
-def _least_squares_map(h1: np.ndarray, h2: np.ndarray) -> MoebiusMap:
-    """Map whose matrix M minimizes sum |M h1_i x h2_i|^2 over unit matrices:
-    for unit homogeneous columns each term is about a squared chordal
-    distance, so the error is shared among all pairs instead of pinned on
-    three."""
-    (p, q), (u, v) = h1, h2
-    rows = np.stack([p * v, q * v, -p * u, -q * u], axis=1)
-    return MoebiusMap(*np.linalg.svd(rows)[2][-1].conj())
 
 
 def _witness_map(
@@ -378,7 +405,7 @@ def _decide(
         return None if witness is None else EquivalenceWitness(witness, kind)
     if d == 3 and not unitary:
         # a single class: any multiplicity-respecting site assignment works
-        target = _target_triples(sites1, sites2)[0]
+        target = next(_target_triples(sites1, sites2, 1))[0]
         points2 = sites2.points()
         try:
             witness = from_three_points(*sites1.points(), *(points2[j] for j in target))

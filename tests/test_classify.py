@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +33,13 @@ from majsphere import (
     state_from_roots,
 )
 from majsphere.canonical import family_state_4, param_to_t
-from majsphere.classify import ClusteredRoots, _maps_multiset, _site_sort_key, _witness_map
+from majsphere.classify import (
+    ClusteredRoots,
+    _maps_multiset,
+    _site_sort_key,
+    _target_triples,
+    _witness_map,
+)
 from helpers import (
     OMEGA,
     random_moebius,
@@ -259,19 +266,6 @@ def reference_decision(s1, s2, unitary, tol=1e-7):
     return all_triples_reference(sites1, sites2, unitary, tol)
 
 
-def carries(m, sites1, sites2, tol):
-    """Whether some bijection of sites, multiplicities kept, has m put every
-    site within tol of its partner: the witness condition by brute force."""
-    targets = sites2.sites
-    return any(
-        all(
-            mult == targets[j][1] and chordal_distance(m(site), targets[j][0]) <= tol
-            for (site, mult), j in zip(sites1.sites, perm)
-        )
-        for perm in itertools.permutations(range(len(targets)))
-    )
-
-
 def sorted_sites(pairs):
     return ClusteredRoots(tuple(sorted(pairs, key=lambda pair: _site_sort_key(pair[0]))))
 
@@ -379,12 +373,10 @@ class TestExhaustiveSearch:
         )
         witness = _witness_map(sites1, sites2, tol, unitary)
         reference = all_triples_reference(sites1, sites2, unitary, tol)
-        if reference is not None:
+        if reference is None:
+            assert witness is None
+        else:
             assert np.array_equal(witness.matrix, reference)
-        elif witness is not None:
-            # found where every map through three sites misses
-            assert carries(witness, sites1, sites2, tol)
-            assert not unitary or is_projective_unitary(witness, tol) is not None
 
     def test_witness_through_a_later_source_triple(self):
         # library sites of a (3,2,1,1,1) state and of its image under a
@@ -410,30 +402,6 @@ class TestExhaustiveSearch:
         expected = from_three_points(*sites1.points()[1:4], *(sites2.points()[j] for j in (2, 4, 1)))
         assert np.array_equal(witness.matrix, expected.matrix)
 
-    def test_least_squares_witness_where_every_triple_misses(self):
-        # library sites of a (2,2,1,1,1) state and of its image under a
-        # contracting map; rounding of the image's amplitudes moved one root
-        # 1.0e-7 from where the map puts it, so no map through three sites
-        # carries all five, but the least-squares map does (largest miss 8.9e-8)
-        sites1 = ClusteredRoots((
-            (ExtendedComplex(-0.8215087234369354 + 0.7420939762968632j), 2),
-            (ExtendedComplex(0.3149050626844353 + 1.1514282701122827j), 1),
-            (ExtendedComplex(-0.8631095174064237 + 0.9967956015706181j), 1),
-            (ExtendedComplex(-1.424305197251991 + 0.7323695803792637j), 2),
-            (ExtendedComplex(-1.9731100087518672 + 4.521501577045802j), 1),
-        ))
-        sites2 = ClusteredRoots((
-            (ExtendedComplex(0.3799756491371251 - 0.32633046645960195j), 1),
-            (ExtendedComplex(0.3765463869875997 - 0.4010730001948696j), 1),
-            (ExtendedComplex(0.43557452496085114 - 0.3753477975878319j), 1),
-            (ExtendedComplex(0.4535416883320524 - 0.37585349193597545j), 2),
-            (ExtendedComplex(0.43475417183303167 - 0.4075692908689472j), 2),
-        ))
-        assert all_triples_reference(sites1, sites2, False) is None
-        witness = _witness_map(sites1, sites2, 1e-7, unitary=False)
-        assert witness is not None
-        assert carries(witness, sites1, sites2, 1e-7)
-
     @pytest.mark.parametrize("n", [7, 8])
     def test_large_inequivalent_pairs(self, n):
         rng = np.random.default_rng(70 + n)
@@ -451,6 +419,48 @@ class TestExhaustiveSearch:
         assert witness is not None
         assert_oracle_witness(witness, s1, s2)
         assert locc_equivalent(s1, s2) is None
+
+    @pytest.mark.parametrize("rows", [1, 7, 1000])
+    def test_target_triples_come_in_blocks_in_order(self, rows):
+        def sites(mults):
+            return ClusteredRoots(tuple((ExtendedComplex(float(i)), m) for i, m in enumerate(mults)))
+
+        mults1, mults2 = (1, 2, 1, 1, 3, 1), (2, 1, 1, 3, 1, 1)
+        blocks = list(_target_triples(sites(mults1), sites(mults2), rows))
+        assert all(len(b) == rows for b in blocks[:-1]) and 0 < len(blocks[-1]) <= rows
+        expected = [
+            t for t in itertools.permutations(range(6), 3)
+            if tuple(mults2[j] for j in t) == mults1[:3]
+        ]
+        assert [tuple(t) for b in blocks for t in b.tolist()] == expected
+
+    @pytest.mark.parametrize("relation", ["moebius", "rotation", "inequivalent"])
+    def test_many_sites_in_bounded_memory(self, relation):
+        # 64 sites give 249,984 candidate maps; the distances from every
+        # site image to every target, held at once, would take 16 GB
+        tol = 1e-7
+        rng = np.random.default_rng(64)
+        points = separated_points(rng, 64, 0.2)
+        if relation == "inequivalent":
+            images = separated_points(rng, 64, 0.2)
+        else:
+            m = random_rotation(rng) if relation == "rotation" else random_moebius(rng, 1.5)
+            images = [m(p) for p in points]
+        sites1 = sorted_sites((p, 1) for p in points)
+        sites2 = sorted_sites((p, 1) for p in images)
+        unitary = relation == "rotation"
+        tracemalloc.start()
+        try:
+            witness = _witness_map(sites1, sites2, tol, unitary)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
+        if relation == "inequivalent":
+            assert witness is None
+        else:
+            assert _maps_multiset(witness, sites1, sites2, tol)
+            assert not unitary or is_projective_unitary(witness, tol) is not None
 
 
 class TestFingerprint:
