@@ -38,6 +38,7 @@ from .plane import (
     TAU,
     ExtendedComplex,
     chordal_distance,
+    chordal_distance_matrix,
     point_xyz,
     single_linkage,
     sphere_from_xyz,
@@ -132,10 +133,8 @@ def degeneracy_configuration(
     chordal metric) and read off the multiplicity partition."""
     if not (tol > 0.0):
         raise DomainError("clustering tolerance must be positive")
-    points = list(r.points())
-    groups = single_linkage(
-        len(points), lambda i, j: chordal_distance(points[i], points[j]), tol
-    )
+    points = r.points()
+    groups = single_linkage(chordal_distance_matrix(points) <= tol)
     sites = []
     for group in groups:
         members = [points[i] for i in group]

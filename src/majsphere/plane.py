@@ -13,7 +13,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Sequence, Union
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -93,6 +95,18 @@ def chordal_distance(p: Pointlike, q: Pointlike) -> float:
     return 2.0 * abs(z - w) / (math.hypot(1.0, abs(z)) * math.hypot(1.0, abs(w)))
 
 
+def chordal_distance_matrix(points: Sequence[Pointlike]) -> np.ndarray:
+    """Chordal distances between all pairs of the given points, as an n x n
+    array; each entry follows the formula of :func:`chordal_distance`."""
+    # homogeneous coordinates (z, 1), infinity (1, 0): |x_i y_j - x_j y_i|
+    # is |z_i - z_j| exactly for finite pairs
+    x = np.array([1.0 if p is INFINITY else complex(p) for p in points], dtype=complex)
+    y = np.array([0.0 if p is INFINITY else 1.0 for p in points], dtype=complex)
+    scale = np.hypot(np.abs(x), np.abs(y))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 2.0 * np.abs(np.outer(x, y) - np.outer(y, x)) / np.outer(scale, scale)
+
+
 @dataclass(frozen=True)
 class SpherePoint:
     """Sphere coordinates (theta, phi); phi is normalized to [0, 2*pi) and
@@ -156,13 +170,14 @@ def sphere_from_xyz(x: float, y: float, z: float) -> SpherePoint:
     return SpherePoint(theta, phi)
 
 
-def single_linkage(count: int, dist: Callable[[int, int], float], tol: float) -> list[list[int]]:
-    """Single-linkage clusters of ``count`` items under ``dist``; two items
-    share a cluster when connected by a chain of steps each <= tol.
+def single_linkage(near: np.ndarray) -> list[list[int]]:
+    """Single-linkage clusters of n items, given the symmetric boolean n x n
+    matrix of the pairs within tolerance (the diagonal is ignored): two
+    items share a cluster when a chain of such pairs connects them.
 
-    Returns index groups ordered by first member.
+    Returns index groups in increasing order, ordered by first member.
     """
-    parent = list(range(count))
+    parent = list(range(len(near)))
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -170,12 +185,13 @@ def single_linkage(count: int, dist: Callable[[int, int], float], tol: float) ->
             i = parent[i]
         return i
 
-    for i in range(count):
-        for j in range(i + 1, count):
-            ri, rj = find(i), find(j)
-            if ri != rj and dist(i, j) <= tol:
-                parent[max(ri, rj)] = min(ri, rj)
+    rows, cols = np.nonzero(near)
+    above = rows < cols
+    for i, j in zip(rows[above].tolist(), cols[above].tolist()):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
     groups: dict[int, list[int]] = {}
-    for i in range(count):
+    for i in range(len(parent)):
         groups.setdefault(find(i), []).append(i)
     return [groups[r] for r in sorted(groups)]

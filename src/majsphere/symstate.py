@@ -22,14 +22,23 @@ import numpy as np
 
 from .errors import DomainError, NumericalError
 from .moebius import MoebiusMap
-from .plane import INFINITY, TAU, ExtendedComplex, single_linkage
+from .plane import (
+    INFINITY,
+    TAU,
+    ExtendedComplex,
+    chordal_distance,
+    chordal_distance_matrix,
+    single_linkage,
+)
 
-#: relative threshold below which leading coefficients count as zero
+#: relative size at or below which trailing Dicke amplitudes count as zero
 TRUNCATION_RTOL = 1e-12
 #: scaled residual every returned root must satisfy
 RESIDUAL_RTOL = 1e-10
 #: Newton polishing iteration cap per root
 POLISH_MAX_ITER = 100
+#: consecutive Newton steps without a smaller |p| that end the polishing
+_POLISH_STALLS = 3
 #: chordal width of the eigenvalue fans collapsed onto multiple roots
 _SHARPEN_TOL = 8e-3
 #: scaled derivative residual accepted when validating a multiple root
@@ -170,10 +179,14 @@ def majorana_polynomial(s: SymmetricState) -> PolynomialCoeffs:
 # Newton polishing tightens simple roots, and a sharpening pass collapses the
 # eigenvalue fan a multiple root scatters into (radius ~ eps^(1/m)) onto the
 # nearby simple root of the (m-1)-th derivative, which is well conditioned.
-# A collapse is kept only when all derivatives below order m vanish at the
-# candidate within a tight scaled threshold, so genuinely distinct roots are
-# never merged.  Degenerate clusters beyond multiplicity ~6 away from 0 and
-# infinity exceed what double precision can certify and are left as fans.
+# Newton keeps the iterate of smallest |p| and stops once |p| has not gone
+# below that for a few steps in a row: |p| then sits at its rounding floor,
+# which members of a multiple-root fan reach long before the step test,
+# finer than an ulp, can fire.  A collapse is kept only when all
+# derivatives below order m vanish at the candidate within a tight scaled
+# threshold, so genuinely distinct roots are never merged.  Degenerate
+# clusters beyond multiplicity ~6 away from 0 and infinity exceed what
+# double precision can certify and are left as fans.
 
 
 def _horner_pair(desc: np.ndarray, z: complex) -> tuple[complex, complex]:
@@ -199,21 +212,24 @@ def _scaled_residual(asc: np.ndarray, z: complex) -> float:
 
 
 def _newton_best(desc: np.ndarray, z: complex, cap: int) -> complex:
-    best = z
-    best_val = abs(_horner_pair(desc, z)[0])
+    p, dp = _horner_pair(desc, z)
+    best, best_val = z, abs(p)
     cur = z
+    stalls = 0
     for _ in range(cap):
-        p, dp = _horner_pair(desc, cur)
         if p == 0:
             return cur
         if dp == 0:
             break
         step = p / dp
         cur = cur - step
-        val = abs(_horner_pair(desc, cur)[0])
-        if val < best_val:
-            best, best_val = cur, val
-        if abs(step) <= 1e-16 * (1.0 + abs(cur)):
+        p, dp = _horner_pair(desc, cur)
+        if abs(p) < best_val:
+            best, best_val = cur, abs(p)
+            stalls = 0
+        else:
+            stalls += 1
+        if abs(step) <= 1e-16 * (1.0 + abs(cur)) or stalls == _POLISH_STALLS:
             break
     return best
 
@@ -244,16 +260,13 @@ def _validate_multiple(asc: np.ndarray, z: complex, mult: int) -> bool:
     return True
 
 
-def _root_chord(z: complex, w: complex) -> float:
-    return 2.0 * abs(z - w) / (math.hypot(1.0, abs(z)) * math.hypot(1.0, abs(w)))
-
-
 def _split_cluster(pts: list[complex]) -> tuple[list[complex], list[complex]]:
     # break the cluster at the longest edge of its minimum spanning tree
     count = len(pts)
+    dist = chordal_distance_matrix(pts).tolist()
     in_tree = [False] * count
     in_tree[0] = True
-    best_dist = [_root_chord(pts[0], pts[j]) for j in range(count)]
+    best_dist = list(dist[0])
     best_from = [0] * count
     edges = []
     for _ in range(count - 1):
@@ -264,11 +277,9 @@ def _split_cluster(pts: list[complex]) -> tuple[list[complex], list[complex]]:
         edges.append((best_from[j], j, best_dist[j]))
         in_tree[j] = True
         for k in range(count):
-            if not in_tree[k]:
-                d = _root_chord(pts[j], pts[k])
-                if d < best_dist[k]:
-                    best_dist[k] = d
-                    best_from[k] = j
+            if not in_tree[k] and dist[j][k] < best_dist[k]:
+                best_dist[k] = dist[j][k]
+                best_from[k] = j
     cut = max(range(len(edges)), key=lambda i: edges[i][2])
     adj: dict[int, list[int]] = {i: [] for i in range(count)}
     for i, (u, v, _) in enumerate(edges):
@@ -300,9 +311,9 @@ def _refine_cluster(asc: np.ndarray, pts: list[complex]) -> list[complex]:
     if len(d) >= 2 and float(np.max(np.abs(d))) > 0.0:
         center = sum(pts) / mult
         z = _polish_root(d, center)
-        diameter = max(_root_chord(p, q) for p in pts for q in pts)
+        diameter = float(chordal_distance_matrix(pts).max())
         if (
-            _root_chord(z, center) <= 10.0 * diameter + 1e-3
+            chordal_distance(z, center) <= 10.0 * diameter + 1e-3
             and _validate_multiple(asc, z, mult)
         ):
             return [z] * mult
@@ -315,9 +326,7 @@ def _refine_cluster(asc: np.ndarray, pts: list[complex]) -> list[complex]:
 def _sharpen_roots(asc: np.ndarray, roots: np.ndarray) -> np.ndarray:
     if len(roots) < 2:
         return roots
-    groups = single_linkage(
-        len(roots), lambda i, j: _root_chord(roots[i], roots[j]), _SHARPEN_TOL
-    )
+    groups = single_linkage(chordal_distance_matrix(roots) <= _SHARPEN_TOL)
     out: list[complex] = []
     for group in groups:
         out.extend(_refine_cluster(asc, [complex(roots[i]) for i in group]))
@@ -327,16 +336,20 @@ def _sharpen_roots(asc: np.ndarray, roots: np.ndarray) -> np.ndarray:
 def majorana_roots(s: SymmetricState) -> RootMultiset:
     """Sphere points of a state as the multiset of its polynomial roots.
 
-    The multiplicity at infinity equals the polynomial's degree drop, judged
-    with a relative coefficient threshold.  Raises
+    The multiplicity at infinity equals the polynomial's degree drop: the
+    number of trailing Dicke amplitudes at most ``TRUNCATION_RTOL`` times the
+    largest one.  The amplitudes are judged rather than the coefficients,
+    whose binomial weights (up to sqrt(binom(n, n/2)), 1.3e9 at n = 64)
+    would hide a small but genuine leading coefficient.  Each root is
+    polished by Newton steps until |p| stops decreasing, and fans of a
+    multiple root are collapsed where the derivatives certify it.  Raises
     :class:`~majsphere.errors.NumericalError` when any returned root fails
     the scaled residual bound after polishing.
     """
     n = s.n
     asc = majorana_polynomial(s).as_array()
-    cmax = float(np.max(np.abs(asc)))
-    nonzero = np.nonzero(np.abs(asc) > TRUNCATION_RTOL * cmax)[0]
-    deg = int(nonzero[-1])
+    amps = np.abs(s.amps)
+    deg = int(np.nonzero(amps > TRUNCATION_RTOL * amps.max())[0][-1])
     if deg == 0:
         return RootMultiset(n, (), n)
     work = asc[: deg + 1]

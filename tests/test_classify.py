@@ -437,21 +437,31 @@ class TestExhaustiveSearch:
     @pytest.mark.parametrize("relation", ["moebius", "rotation", "inequivalent"])
     def test_many_sites_in_bounded_memory(self, relation):
         # 64 sites give 249,984 candidate maps; the distances from every
-        # site image to every target, held at once, would take 16 GB
+        # site image to every target, held at once, would take 16 GB.  The
+        # rotation pair is decided from states, so that the roots of two
+        # n = 64 states are read as well
         tol = 1e-7
         rng = np.random.default_rng(64)
         points = separated_points(rng, 64, 0.2)
-        if relation == "inequivalent":
-            images = separated_points(rng, 64, 0.2)
-        else:
-            m = random_rotation(rng) if relation == "rotation" else random_moebius(rng, 1.5)
-            images = [m(p) for p in points]
-        sites1 = sorted_sites((p, 1) for p in points)
-        sites2 = sorted_sites((p, 1) for p in images)
         unitary = relation == "rotation"
+        if unitary:
+            s1 = state_at(points, [1] * 64)
+            s2 = apply_symmetric(random_rotation(rng), s1)
+            sites1, sites2 = (degeneracy_configuration(majorana_roots(s), tol)[1] for s in (s1, s2))
+        else:
+            if relation == "inequivalent":
+                images = separated_points(rng, 64, 0.2)
+            else:
+                m = random_moebius(rng, 1.5)
+                images = [m(p) for p in points]
+            sites1 = sorted_sites((p, 1) for p in points)
+            sites2 = sorted_sites((p, 1) for p in images)
         tracemalloc.start()
         try:
-            witness = _witness_map(sites1, sites2, tol, unitary)
+            if unitary:
+                witness = locc_equivalent(s1, s2, tol).map
+            else:
+                witness = _witness_map(sites1, sites2, tol, unitary)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -14,6 +14,7 @@ from majsphere import (
     from_sphere,
     to_sphere,
 )
+from majsphere.plane import chordal_distance_matrix, single_linkage
 
 
 def test_infinity_singleton_behaviour():
@@ -100,3 +101,42 @@ def test_as_point_coercion():
     assert as_point(INFINITY) is INFINITY
     assert as_point(2.0) == ExtendedComplex(2.0)
     assert cmath.isclose(as_point(1 - 1j).value, 1 - 1j)
+
+
+def test_chordal_distance_matrix_matches_pairwise_distances():
+    points = [INFINITY, 0, 1, -1, 2 + 1j, 1e200, INFINITY, 0.3 - 4j]
+    dist = chordal_distance_matrix(points)
+    assert dist.shape == (len(points), len(points))
+    for i, p in enumerate(points):
+        for j, q in enumerate(points):
+            assert dist[i, j] == pytest.approx(chordal_distance(p, q), rel=1e-15, abs=0.0)
+    assert chordal_distance_matrix([]).shape == (0, 0)
+
+
+def near_from_pairs(count, pairs):
+    near = np.zeros((count, count), dtype=bool)
+    for i, j in pairs:
+        near[i, j] = near[j, i] = True
+    return near
+
+
+def test_single_linkage_follows_chains():
+    # 0-5-3 and 1-4 are joined only through chains of near pairs
+    near = near_from_pairs(6, [(0, 5), (3, 5), (4, 1)])
+    assert single_linkage(near) == [[0, 3, 5], [1, 4], [2]]
+
+
+def test_single_linkage_orders_groups_by_first_member():
+    near = near_from_pairs(5, [(4, 2), (3, 1)])
+    assert single_linkage(near) == [[0], [1, 3], [2, 4]]
+    assert single_linkage(np.ones((4, 4), dtype=bool)) == [[0, 1, 2, 3]]
+
+
+def test_single_linkage_small_inputs():
+    assert single_linkage(np.zeros((0, 0), dtype=bool)) == []
+    assert single_linkage(np.ones((1, 1), dtype=bool)) == [[0]]
+
+
+def test_single_linkage_ignores_the_diagonal():
+    assert single_linkage(np.eye(3, dtype=bool)) == [[0], [1], [2]]
+    assert single_linkage(~np.eye(3, dtype=bool)) == [[0, 1, 2]]

@@ -4,15 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from majsphere import (
     INFINITY,
     DomainError,
+    ExtendedComplex,
     MoebiusMap,
     RootMultiset,
     SymmetricState,
     apply_symmetric,
     chordal_distance,
+    degeneracy_configuration,
     dicke,
     fidelity,
     majorana_polynomial,
@@ -24,7 +27,16 @@ from majsphere import (
     state_to_doc,
     to_sphere,
 )
-from helpers import OMEGA, multiset_matches, random_moebius, random_rotation, random_state, separated_root_multiset
+from majsphere import symstate
+from helpers import (
+    OMEGA,
+    multiset_matches,
+    random_moebius,
+    random_rotation,
+    random_state,
+    separated_points,
+    separated_root_multiset,
+)
 
 GHZ3 = SymmetricState([1.0, 0.0, 0.0, 1.0])
 
@@ -119,10 +131,89 @@ class TestRoots:
         r = majorana_roots(state_from_roots(target))
         assert multiset_matches(r, target, 1e-9)
 
+    @pytest.mark.parametrize("seed", [4, 23, 28, 47, 64])
+    def test_large_finite_roots_are_not_read_at_infinity(self, seed):
+        # the binomial weights put the leading coefficient of these n = 64
+        # states below 1e-12 of the largest one; their last amplitude is not
+        target = separated_root_multiset(np.random.default_rng(seed), 64, 0.2)
+        r = majorana_roots(state_from_roots(target))
+        assert r.infinity_count == 0
+        for z in target.finite_roots:
+            assert min(chordal_distance(z, w) for w in r.finite_roots) <= 1e-9
+
+    def test_exact_degree_drop_reads_roots_at_infinity(self):
+        for n in (1, 2, 7, 16, 33, 64):
+            for k in range(n + 1):
+                r = majorana_roots(dicke(n, k))
+                assert r.infinity_count == n - k
+                assert r.finite_roots == (0j,) * k
+
+    def test_polishing_stops_at_the_rounding_floor(self, monkeypatch):
+        # |p| of a 4-fold root stops falling long before the step test fires
+        calls = []
+
+        def counted(desc, z):
+            calls.append(z)
+            return horner(desc, z)
+
+        horner = symstate._horner_pair
+        monkeypatch.setattr(symstate, "_horner_pair", counted)
+        desc = np.poly([0.5 + 0.5j] * 4 + [-2.0])
+        z = symstate._newton_best(desc, 0.51 + 0.5j, symstate.POLISH_MAX_ITER)
+        assert abs(z - (0.5 + 0.5j)) < 1e-3
+        assert len(calls) < symstate.POLISH_MAX_ITER // 2
+
     def test_root_ordering_is_deterministic(self):
         r = majorana_roots(GHZ3)
         key = [(abs(z), cmath.phase(z) % (2 * math.pi)) for z in r.finite_roots]
         assert key == sorted(key)
+
+
+def assert_read_back(seed, mults, at_zero, at_infinity):
+    """Sites at least 0.2 apart with the given multiplicities, the first
+    ones at 0 and at infinity on request: the state built from them reads
+    back its partition, every site within 1e-9 and the state within 1e-10."""
+    anchors = [ExtendedComplex(0.0)] * at_zero + [INFINITY] * at_infinity
+    points = separated_points(np.random.default_rng(seed), len(mults), 0.2, anchors=anchors)
+    finite = [p.value for p, m in zip(points, mults) if not p.is_infinite for _ in range(m)]
+    n = sum(mults)
+    s = state_from_roots(RootMultiset(n, tuple(finite), n - len(finite)))
+    r = majorana_roots(s)
+    dc, clustered = degeneracy_configuration(r)
+    assert dc.partition == tuple(sorted(mults, reverse=True))
+    for p, m in zip(points, mults):
+        assert min(chordal_distance(p, q) for q, k in clustered.sites if k == m) <= 1e-9
+    assert 1.0 - fidelity(s, state_from_roots(r)) <= 1e-10
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    count=st.integers(2, 8),
+    multiplicity=st.integers(2, 6),
+    place=st.integers(0, 7),
+    at_zero=st.booleans(),
+    at_infinity=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_multiple_root_among_few_sites_is_read_back(
+    count, multiplicity, place, at_zero, at_infinity, seed
+):
+    # the multiple site may be the one at 0 or at infinity.  Among more
+    # sites, or next to other multiple sites, multiple roots are still
+    # sometimes read off by more than 1e-9 (ROADMAP item 4)
+    mults = [multiplicity if i == place % count else 1 for i in range(count)]
+    assert_read_back(seed, mults, at_zero, at_infinity)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(
+    count=st.integers(2, 64),
+    at_zero=st.booleans(),
+    at_infinity=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_simple_roots_up_to_64_are_read_back(count, at_zero, at_infinity, seed):
+    assert_read_back(seed, [1] * count, at_zero, at_infinity)
 
 
 class TestStateFromRoots:
