@@ -27,7 +27,7 @@ print("i.e. two points at the north pole, one at the south pole\n")
 print("== GHZ state ==")
 ghz = SymmetricState([1, 0, 0, 1])
 coeffs = majorana_polynomial(ghz)
-print(f"polynomial coefficients (c_0..c_3): {coeffs.coeffs}")
+print(f"polynomial coefficients (c_0..c_3): {coeffs}")
 print("which is proportional to z^3 - 1, so the roots are the cube roots of unity:")
 for z in majorana_roots(ghz).finite_roots:
     sp = to_sphere(z)

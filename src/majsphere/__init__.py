@@ -24,19 +24,15 @@ from .moebius import (
     MapClass,
     MoebiusMap,
     classify_map,
-    compose,
     cross_ratio,
     decompose_affine,
     from_three_points,
-    inverse,
     is_projective_unitary,
     map_from_doc,
     map_to_doc,
-    proj_equal,
     translation_view,
 )
 from .symstate import (
-    PolynomialCoeffs,
     RootMultiset,
     SymmetricState,
     apply_symmetric,
@@ -68,7 +64,6 @@ from .canonical import (
     CanonicalForm,
     TriangleFrame,
     canonical_4,
-    canonical_4_all_triples,
     canonical_5_degenerate,
     canonicalize,
     family_state_4,

@@ -19,7 +19,6 @@ three, t = exp(i*phi) * tan(theta/2) places the moving point at (theta, phi).
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -215,29 +214,6 @@ def canonical_4(s: SymmetricState, tol: float = DEFAULT_TOL) -> CanonicalForm:
     return CanonicalForm(4, part, (theta, phi), family_state_4(param_to_t(theta, phi)))
 
 
-def canonical_4_all_triples(
-    s: SymmetricState, tol: float = DEFAULT_TOL
-) -> list[tuple[float, float]]:
-    """Folded parameters from every ordered choice of three anchor sites.
-
-    Only defined for four distinct sites; all 24 results agree (up to
-    numerical noise) because the canonical form is unique.
-    """
-    if s.n != 4:
-        raise DomainError("needs a 4-qubit state")
-    dc, clustered = degeneracy_configuration(majorana_roots(s), tol)
-    if dc.diversity != 4:
-        raise DomainError("triple scan needs four distinct sites")
-    sites = clustered.points()
-    params = []
-    for triple in itertools.permutations(range(4), 3):
-        rest = next(i for i in range(4) if i not in triple)
-        anchor = from_three_points(*(sites[i] for i in triple), *TRIANGLE.vertices)
-        w = anchor(sites[rest])
-        params.append(_fold_unique(w, TRIANGLE.fold_group, _in_domain_4))
-    return params
-
-
 _HALF_FOLD = (MoebiusMap.identity(), MoebiusMap(0.0, 1.0, 1.0, 0.0))
 
 
@@ -361,13 +337,13 @@ def canonicalize(s: SymmetricState, tol: float = DEFAULT_TOL) -> CanonicalForm:
     n = s.n
     if n > 5:
         raise DomainError("canonical forms are available for n <= 5 only")
-    dc, _ = degeneracy_configuration(majorana_roots(s), tol)
     if n == 1:
         return CanonicalForm(1, (1,), (), dicke(1, 0))
-    if n in (2, 3):
-        return CanonicalForm(n, dc.partition, (), representative_small(n, dc))
     if n == 4:
         return canonical_4(s, tol)
+    dc, _ = degeneracy_configuration(majorana_roots(s), tol)
+    if n in (2, 3):
+        return CanonicalForm(n, dc.partition, (), representative_small(n, dc))
     if dc.diversity < 5:
         return canonical_5_degenerate(s, tol)
     return representative_5_generic(s, tol)

@@ -27,18 +27,14 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError
-from .moebius import (
-    MoebiusMap,
-    _homog,
-    from_three_points,
-    is_projective_unitary,
-)
+from .moebius import MoebiusMap, from_three_points, is_projective_unitary
 from .plane import (
     INFINITY,
-    TAU,
     ExtendedComplex,
     chordal_distance,
     chordal_distance_matrix,
+    homogeneous,
+    point_sort_key,
     point_xyz,
     single_linkage,
     sphere_from_xyz,
@@ -105,12 +101,6 @@ class EquivalenceWitness:
     kind: str
 
 
-def _site_sort_key(site: ExtendedComplex):
-    if site.is_infinite:
-        return (1, 0.0, 0.0)
-    return (0, abs(site.value), cmath.phase(site.value) % TAU)
-
-
 def _cluster_representative(members: list[ExtendedComplex]) -> ExtendedComplex:
     if any(p.is_infinite for p in members):
         return INFINITY
@@ -139,7 +129,7 @@ def degeneracy_configuration(
     for group in groups:
         members = [points[i] for i in group]
         sites.append((_cluster_representative(members), len(group)))
-    sites.sort(key=lambda pair: _site_sort_key(pair[0]))
+    sites.sort(key=lambda pair: point_sort_key(pair[0]))
     partition = tuple(sorted((mult for _, mult in sites), reverse=True))
     return DegeneracyConfiguration(partition), ClusteredRoots(tuple(sites))
 
@@ -236,12 +226,6 @@ def _target_triples(sites1: ClusteredRoots, sites2: ClusteredRoots, rows: int):
         yield block
 
 
-def _homogeneous(points) -> np.ndarray:
-    """Unit homogeneous coordinates of points as a 2xN array."""
-    h = np.array([_homog(p) for p in points], dtype=complex).T
-    return h / np.hypot(np.abs(h[0]), np.abs(h[1]))
-
-
 def _to_zero_one_inf_matrices(h: np.ndarray, triples: np.ndarray) -> np.ndarray:
     """Kx2x2 matrices of the maps sending each triple of columns of h to
     (0, 1, inf), from the same homogeneous minors as the scalar
@@ -326,7 +310,11 @@ def _candidate_maps(
     those maps are tried in order.
     """
     points1, points2 = sites1.points(), sites2.points()
-    h1, h2 = _homogeneous(points1), _homogeneous(points2)
+    # unit homogeneous coordinates, 2 x d each
+    h1, h2 = (
+        h / np.hypot(np.abs(h[0]), np.abs(h[1]))
+        for h in (homogeneous(points1), homogeneous(points2))
+    )
     fwd = _to_zero_one_inf_matrices(h1, np.array([[0, 1, 2]]))
     same_mult = np.equal.outer(sites1.multiplicities(), sites2.multiplicities())
     assignments = set()
@@ -469,7 +457,7 @@ def cross_ratio_fingerprint(
 
 
 def fingerprints_intersect(
-    f1: tuple[complex, ...], f2: tuple[complex, ...], tol: float = 1e-7
+    f1: tuple[complex, ...], f2: tuple[complex, ...], tol: float = DEFAULT_TOL
 ) -> bool:
     return any(abs(a - b) <= tol * (1.0 + abs(a)) for a in f1 for b in f2)
 

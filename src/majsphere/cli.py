@@ -19,8 +19,10 @@ from . import moebius as _moebius
 from . import sphereplot as _sphereplot
 from . import symstate as _symstate
 from .errors import DomainError, NumericalError, ResourceLimitError
+from .plane import complex_pair
 
 _BATCH_COMMANDS = {"roots", "from-roots", "classify", "canonical", "transform"}
+_TOL_COMMANDS = {"classify", "canonical", "equiv", "plot"}
 
 
 def _format_float(x: float) -> str:
@@ -59,8 +61,11 @@ def _load_matrix(path: str) -> _moebius.MoebiusMap:
     return _moebius.map_from_doc(_load_json(path))
 
 
-def _complex_pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
+def _dicke_lines(doc) -> list[str]:
+    """Text output of a state document."""
+    lines = [f"n: {doc['n']}"]
+    lines += [f"a[{k}]: {re!r} {im!r}" for k, (re, im) in enumerate(doc["dicke"])]
+    return lines
 
 
 # --- per-subcommand handlers (return (exit_code, output_lines)) ---------------
@@ -81,9 +86,7 @@ def _cmd_from_roots(args, path: str):
     roots = _symstate.roots_from_doc(_load_json(path))
     doc = _symstate.state_to_doc(_symstate.state_from_roots(roots))
     if args.format == "text":
-        lines = [f"n: {doc['n']}"]
-        lines += [f"a[{k}]: {re!r} {im!r}" for k, (re, im) in enumerate(doc["dicke"])]
-        return 0, lines
+        return 0, _dicke_lines(doc)
     return 0, [_dumps(doc)]
 
 
@@ -130,9 +133,7 @@ def _cmd_transform(args, path: str):
     state = _load_state(path)
     doc = _symstate.state_to_doc(_symstate.apply_symmetric(m, state))
     if args.format == "text":
-        lines = [f"n: {doc['n']}"]
-        lines += [f"a[{k}]: {re!r} {im!r}" for k, (re, im) in enumerate(doc["dicke"])]
-        return 0, lines
+        return 0, _dicke_lines(doc)
     return 0, [_dumps(doc)]
 
 
@@ -142,10 +143,10 @@ def _cmd_decompose(args):
     m = _load_matrix(args.matrix)
     dec = _moebius.decompose_affine(m)
     doc = {
-        "alpha": _complex_pair(dec.rotation.a),
-        "beta": _complex_pair(dec.rotation.c),
+        "alpha": complex_pair(dec.rotation.a),
+        "beta": complex_pair(dec.rotation.c),
         "A": float(dec.affine.A),
-        "B": _complex_pair(dec.affine.B),
+        "B": complex_pair(dec.affine.B),
         "lambda": float(dec.lam),
     }
     if args.format == "text":
@@ -224,8 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name: str, help_text: str, inputs: int = 1):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--tol", type=float, default=1e-7,
-                       help="chordal tolerance for clustering and matching")
+        if name in _TOL_COMMANDS:
+            p.add_argument("--tol", type=float, default=_classify.DEFAULT_TOL,
+                           help="chordal tolerance for clustering and matching")
         p.add_argument("--format", choices=("json", "text"), default="json")
         if inputs == 1:
             p.add_argument("input", nargs="?", help="input JSON document")
@@ -244,9 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("slocc", "locc"), default="slocc")
     p = add("transform", "apply a Moebius map to a state")
     p.add_argument("--matrix", metavar="MATRIX_JSON")
-    p = sub.add_parser("decompose", help="rotation/affine factorization of a map")
-    p.add_argument("--tol", type=float, default=1e-7)
-    p.add_argument("--format", choices=("json", "text"), default="json")
+    p = add("decompose", "rotation/affine factorization of a map", inputs=0)
     p.add_argument("--matrix", metavar="MATRIX_JSON", required=True)
     p = add("plot", "orthographic sphere SVG of a state or root document")
     p.add_argument("--svg", metavar="PATH", help="output SVG path")

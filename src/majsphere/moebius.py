@@ -23,6 +23,9 @@ from .plane import (
     Pointlike,
     as_point,
     chordal_distance,
+    complex_pair,
+    parse_pairs,
+    point_sort_key,
 )
 
 #: chordal separation below which triple points count as coincident
@@ -115,31 +118,6 @@ class MoebiusMap:
         return f"MoebiusMap({self.a!r}, {self.b!r}, {self.c!r}, {self.d!r})"
 
 
-def apply(m: MoebiusMap, z: Pointlike) -> ExtendedComplex:
-    """Evaluate the map at a point (same as calling the map)."""
-    return m(z)
-
-
-def compose(m2: MoebiusMap, m1: MoebiusMap) -> MoebiusMap:
-    """Map applying m1 first, then m2."""
-    return m2.compose(m1)
-
-
-def inverse(m: MoebiusMap) -> MoebiusMap:
-    return m.inverse()
-
-
-def proj_equal(m1: MoebiusMap, m2: MoebiusMap, tol: float = 1e-9) -> bool:
-    """Whether two determinant-one matrices describe the same map (up to sign)."""
-    d_plus = max(
-        abs(m1.a - m2.a), abs(m1.b - m2.b), abs(m1.c - m2.c), abs(m1.d - m2.d)
-    )
-    d_minus = max(
-        abs(m1.a + m2.a), abs(m1.b + m2.b), abs(m1.c + m2.c), abs(m1.d + m2.d)
-    )
-    return min(d_plus, d_minus) <= tol
-
-
 def _to_zero_one_inf(v1: Pointlike, v2: Pointlike, v3: Pointlike) -> MoebiusMap:
     # map sending (v1, v2, v3) -> (0, 1, inf), built from homogeneous 2x2 minors
     (x1, y1), (x2, y2), (x3, y3) = _homog(v1), _homog(v2), _homog(v3)
@@ -206,15 +184,6 @@ class MapClass:
     fixed_points: tuple[ExtendedComplex, ...]
 
 
-def _sorted_points(points: list[ExtendedComplex]) -> tuple[ExtendedComplex, ...]:
-    def key(p: ExtendedComplex):
-        if p.is_infinite:
-            return (1, 0.0, 0.0)
-        return (0, abs(p.value), cmath.phase(p.value) % (2.0 * math.pi))
-
-    return tuple(sorted(points, key=key))
-
-
 def classify_map(m: MoebiusMap, tol: float = 1e-10) -> MapClass:
     """Kind of the map from the squared trace, plus its fixed points."""
     near_id = min(
@@ -245,7 +214,7 @@ def classify_map(m: MoebiusMap, tol: float = 1e-10) -> MapClass:
     if m.c == 0:
         if kind == "parabolic":
             return MapClass(kind, (INFINITY,))
-        return MapClass(kind, _sorted_points([point(m.b / (m.d - m.a)), INFINITY]))
+        return MapClass(kind, (point(m.b / (m.d - m.a)), INFINITY))
     diff = m.a - m.d
     if kind == "parabolic":
         return MapClass(kind, (point(diff / (2.0 * m.c)),))
@@ -257,7 +226,7 @@ def classify_map(m: MoebiusMap, tol: float = 1e-10) -> MapClass:
         r2 = (diff - s) / (2.0 * m.c)
     else:
         r2 = (-m.b / m.c) / r1
-    return MapClass(kind, _sorted_points([point(r1), point(r2)]))
+    return MapClass(kind, tuple(sorted([point(r1), point(r2)], key=point_sort_key)))
 
 
 def is_projective_unitary(m: MoebiusMap, tol: float = 1e-9):
@@ -351,12 +320,7 @@ def translation_view(aff: AffineMap, h1: float) -> tuple[float, complex]:
 
 def map_to_doc(m: MoebiusMap) -> dict:
     """JSON document {"matrix": [[re, im] x 4]} row-major."""
-    return {
-        "matrix": [
-            [float(entry.real), float(entry.imag)]
-            for entry in (m.a, m.b, m.c, m.d)
-        ]
-    }
+    return {"matrix": [complex_pair(entry) for entry in (m.a, m.b, m.c, m.d)]}
 
 
 def map_from_doc(doc) -> MoebiusMap:
@@ -365,13 +329,4 @@ def map_from_doc(doc) -> MoebiusMap:
     entries = doc["matrix"]
     if not (isinstance(entries, list) and len(entries) == 4):
         raise DomainError('"matrix" must list four [re, im] pairs (row-major)')
-    values = []
-    for pair in entries:
-        if not (
-            isinstance(pair, list)
-            and len(pair) == 2
-            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
-        ):
-            raise DomainError('matrix entries must be [re, im] number pairs')
-        values.append(complex(float(pair[0]), float(pair[1])))
-    return MoebiusMap(*values)
+    return MoebiusMap(*parse_pairs(entries, "matrix entries"))

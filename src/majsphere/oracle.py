@@ -1,13 +1,13 @@
 """Brute-force reference engine on full 2^n state vectors.
 
-Everything here is deliberately naive: dense vectors, explicit permutation
-sums, per-qubit matrix application.  It exists to cross-check the root-level
-machinery at small n, so it must not share any of its algebra.
+Everything here is deliberately naive: dense vectors, brute-force
+symmetrization over all qubit permutations, per-qubit matrix application.
+It exists to cross-check the root-level machinery at small n, so it must
+not share any of its algebra.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -20,7 +20,7 @@ from .symstate import SymmetricState
 
 #: dense-vector qubit guard (2^n amplitudes)
 MAX_DENSE_QUBITS = 20
-#: permutation-sum qubit guard (n! terms)
+#: symmetrization qubit guard
 MAX_SYMMETRIZE_QUBITS = 10
 
 
@@ -64,7 +64,12 @@ def expand_full(s: SymmetricState) -> DenseState:
 
 def symmetrize(bloch: list[SpherePoint]) -> DenseState:
     """Normalized permutation sum of the product of single-qubit states
-    cos(theta/2)|0> + e^(i*phi) sin(theta/2)|1> at the given sphere points."""
+    cos(theta/2)|0> + e^(i*phi) sin(theta/2)|1> at the given sphere points.
+
+    The sum over all n! orderings is built by coset recursion: if T is the
+    sum for the first k-1 points, the sum for k points is T (x) v_k plus its
+    swaps of the new tensor axis with each earlier axis.
+    """
     n = len(bloch)
     if n < 1:
         raise DomainError("need at least one sphere point")
@@ -77,12 +82,11 @@ def symmetrize(bloch: list[SpherePoint]) -> DenseState:
         )
         for p in bloch
     ]
-    acc = np.zeros(2**n, dtype=complex)
-    for perm in itertools.permutations(range(n)):
-        prod = single[perm[0]]
-        for i in perm[1:]:
-            prod = (prod[:, None] * single[i][None, :]).reshape(-1)
-        acc += prod
+    acc = single[0]
+    for k in range(1, n):
+        acc = np.multiply.outer(acc, single[k])
+        acc = acc + sum(np.swapaxes(acc, j, k) for j in range(k))
+    acc = acc.reshape(-1)
     return DenseState(n, acc / np.linalg.norm(acc))
 
 

@@ -5,7 +5,9 @@ z to the sphere point with polar angle ``theta = 2*arctan(1/|z|)`` and
 azimuth ``phi = (-arg z) mod 2*pi``, i.e. ``z = cot(theta/2) * exp(-i*phi)``.
 The point at infinity sits at the north pole (theta = 0) and z = 0 at the
 south pole.  Distances between points are measured with the chordal metric
-of the embedded unit sphere, which stays finite at infinity.
+of the embedded unit sphere, which stays finite at infinity.  The module
+also holds what the other modules share about points: their serialization
+order, their homogeneous coordinates and the JSON [re, im] pair codec.
 """
 
 from __future__ import annotations
@@ -95,13 +97,30 @@ def chordal_distance(p: Pointlike, q: Pointlike) -> float:
     return 2.0 * abs(z - w) / (math.hypot(1.0, abs(z)) * math.hypot(1.0, abs(w)))
 
 
+def point_sort_key(p: Pointlike) -> tuple[int, float, float]:
+    """Serialization order of points: finite before infinity, then by
+    modulus, then by argument mod 2*pi."""
+    if isinstance(p, ExtendedComplex):
+        if p.is_infinite:
+            return (1, 0.0, 0.0)
+        p = p.value
+    return (0, abs(p), cmath.phase(p) % TAU)
+
+
+def homogeneous(points: Sequence[Pointlike]) -> np.ndarray:
+    """Homogeneous coordinates of the points as a 2 x n complex array:
+    (z, 1) for a finite point, (1, 0) for infinity."""
+    return np.array([
+        [1.0 if p is INFINITY else complex(p) for p in points],
+        [0.0 if p is INFINITY else 1.0 for p in points],
+    ], dtype=complex)
+
+
 def chordal_distance_matrix(points: Sequence[Pointlike]) -> np.ndarray:
     """Chordal distances between all pairs of the given points, as an n x n
     array; each entry follows the formula of :func:`chordal_distance`."""
-    # homogeneous coordinates (z, 1), infinity (1, 0): |x_i y_j - x_j y_i|
-    # is |z_i - z_j| exactly for finite pairs
-    x = np.array([1.0 if p is INFINITY else complex(p) for p in points], dtype=complex)
-    y = np.array([0.0 if p is INFINITY else 1.0 for p in points], dtype=complex)
+    # |x_i y_j - x_j y_i| is |z_i - z_j| exactly for finite pairs
+    x, y = homogeneous(points)
     scale = np.hypot(np.abs(x), np.abs(y))
     with np.errstate(over="ignore", invalid="ignore"):
         return 2.0 * np.abs(np.outer(x, y) - np.outer(y, x)) / np.outer(scale, scale)
@@ -168,6 +187,26 @@ def sphere_from_xyz(x: float, y: float, z: float) -> SpherePoint:
     theta = math.atan2(math.hypot(x, y), z)
     phi = math.atan2(y, x) % TAU
     return SpherePoint(theta, phi)
+
+
+def parse_pairs(entries, what: str) -> list[complex]:
+    """Complex values of a JSON list of [re, im] number pairs; ``what``
+    names the entries in the error message."""
+    values = []
+    for pair in entries:
+        if not (
+            isinstance(pair, list)
+            and len(pair) == 2
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
+        ):
+            raise DomainError(f"{what} must be [re, im] number pairs")
+        values.append(complex(float(pair[0]), float(pair[1])))
+    return values
+
+
+def complex_pair(z: complex) -> list[float]:
+    """JSON [re, im] pair of a complex value."""
+    return [float(z.real), float(z.imag)]
 
 
 def single_linkage(near: np.ndarray) -> list[list[int]]:

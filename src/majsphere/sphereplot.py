@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .classify import DEFAULT_TOL, degeneracy_configuration
 from .plane import SpherePoint, sphere_xyz, to_sphere
 from .symstate import RootMultiset
 
@@ -31,9 +32,7 @@ class PlotSpec:
     title: str = ""
 
 
-def spec_from_roots(r: RootMultiset, tol: float = 1e-7, title: str = "") -> PlotSpec:
-    from .classify import degeneracy_configuration
-
+def spec_from_roots(r: RootMultiset, tol: float = DEFAULT_TOL, title: str = "") -> PlotSpec:
     _, clustered = degeneracy_configuration(r, tol)
     sites = tuple(
         (to_sphere(site), mult) for site, mult in clustered.sites

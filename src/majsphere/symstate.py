@@ -14,7 +14,6 @@ correspondence plus the induced action of Moebius maps on states.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -24,10 +23,12 @@ from .errors import DomainError, NumericalError
 from .moebius import MoebiusMap
 from .plane import (
     INFINITY,
-    TAU,
     ExtendedComplex,
     chordal_distance,
     chordal_distance_matrix,
+    complex_pair,
+    parse_pairs,
+    point_sort_key,
     single_linkage,
 )
 
@@ -107,31 +108,6 @@ def fidelity(s1: SymmetricState, s2: SymmetricState) -> float:
 
 
 @dataclass(frozen=True)
-class PolynomialCoeffs:
-    """Coefficients c_0..c_n of the state's polynomial, lowest order first."""
-
-    coeffs: tuple[complex, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
-        if len(self.coeffs) < 1:
-            raise DomainError("need at least one coefficient")
-
-    @property
-    def n(self) -> int:
-        return len(self.coeffs) - 1
-
-    def evaluate(self, z: complex) -> complex:
-        acc = 0.0 + 0.0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.coeffs, dtype=complex)
-
-
-@dataclass(frozen=True)
 class RootMultiset:
     """The n sphere points of a state: finite roots with repetition plus a
     multiplicity at infinity.  Roots are kept sorted by (modulus, argument);
@@ -154,7 +130,7 @@ class RootMultiset:
         object.__setattr__(self, "infinity_count", int(self.infinity_count))
         if len(roots) + self.infinity_count != self.n:
             raise DomainError("finite roots plus infinity_count must equal n")
-        roots = tuple(sorted(roots, key=lambda z: (abs(z), cmath.phase(z) % TAU)))
+        roots = tuple(sorted(roots, key=point_sort_key))
         object.__setattr__(self, "finite_roots", roots)
 
     def points(self) -> tuple[ExtendedComplex, ...]:
@@ -163,14 +139,18 @@ class RootMultiset:
         return finite + (INFINITY,) * self.infinity_count
 
 
-def majorana_polynomial(s: SymmetricState) -> PolynomialCoeffs:
-    """Polynomial whose roots are the state's sphere points."""
-    n = s.n
-    coeffs = []
-    for k in range(n + 1):
-        sign = 1.0 if (n - k) % 2 == 0 else -1.0
-        coeffs.append(sign * s.amps[k] * math.sqrt(math.comb(n, k)))
-    return PolynomialCoeffs(tuple(coeffs))
+def _dicke_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Signs (-1)^(n-k) and weights sqrt(binom(n, k)) for k = 0..n."""
+    signs = np.array([1.0 if (n - k) % 2 == 0 else -1.0 for k in range(n + 1)])
+    weights = np.array([math.sqrt(math.comb(n, k)) for k in range(n + 1)])
+    return signs, weights
+
+
+def majorana_polynomial(s: SymmetricState) -> np.ndarray:
+    """Coefficients c_0..c_n (lowest order first) of the polynomial whose
+    roots are the state's sphere points."""
+    signs, weights = _dicke_weights(s.n)
+    return signs * s.amps * weights
 
 
 # --- root finding -----------------------------------------------------------
@@ -347,7 +327,7 @@ def majorana_roots(s: SymmetricState) -> RootMultiset:
     the scaled residual bound after polishing.
     """
     n = s.n
-    asc = majorana_polynomial(s).as_array()
+    asc = majorana_polynomial(s)
     amps = np.abs(s.amps)
     deg = int(np.nonzero(amps > TRUNCATION_RTOL * amps.max())[0][-1])
     if deg == 0:
@@ -386,11 +366,9 @@ def state_from_roots(r: RootMultiset) -> SymmetricState:
     desc = np.ones(1, dtype=complex)
     for z in finite:
         desc = np.convolve(desc, np.array([1.0, -z], dtype=complex))
-    asc = desc[::-1]
+    signs, weights = _dicke_weights(n)
     amps = np.zeros(n + 1, dtype=complex)
-    for k in range(len(asc)):
-        sign = 1.0 if (n - k) % 2 == 0 else -1.0
-        amps[k] = sign * asc[k] / math.sqrt(math.comb(n, k))
+    amps[: len(desc)] = signs[: len(desc)] * desc[::-1] / weights[: len(desc)]
     return SymmetricState(amps)
 
 
@@ -415,25 +393,9 @@ def apply_symmetric(m: MoebiusMap, s: SymmetricState) -> SymmetricState:
 # --- JSON documents ---------------------------------------------------------
 
 
-def _check_pairs(entries, what: str) -> list[complex]:
-    values = []
-    for pair in entries:
-        if not (
-            isinstance(pair, list)
-            and len(pair) == 2
-            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
-        ):
-            raise DomainError(f"{what} must be [re, im] number pairs")
-        values.append(complex(float(pair[0]), float(pair[1])))
-    return values
-
-
 def state_to_doc(s: SymmetricState) -> dict:
     """JSON document {"n": int, "dicke": [[re, im] x (n+1)]}."""
-    return {
-        "n": s.n,
-        "dicke": [[float(a.real), float(a.imag)] for a in s.amps],
-    }
+    return {"n": s.n, "dicke": [complex_pair(a) for a in s.amps]}
 
 
 def state_from_doc(doc) -> SymmetricState:
@@ -445,14 +407,14 @@ def state_from_doc(doc) -> SymmetricState:
     entries = doc["dicke"]
     if not isinstance(entries, list) or len(entries) != n + 1:
         raise DomainError(f'"dicke" must list exactly n+1 = {n + 1} amplitude pairs')
-    return SymmetricState(_check_pairs(entries, "amplitudes"))
+    return SymmetricState(parse_pairs(entries, "amplitudes"))
 
 
 def roots_to_doc(r: RootMultiset) -> dict:
     """JSON document {"n": int, "roots": [[re, im] x m], "at_infinity": int}."""
     return {
         "n": r.n,
-        "roots": [[float(z.real), float(z.imag)] for z in r.finite_roots],
+        "roots": [complex_pair(z) for z in r.finite_roots],
         "at_infinity": r.infinity_count,
     }
 
@@ -471,7 +433,7 @@ def roots_from_doc(doc) -> RootMultiset:
     entries = doc["roots"]
     if not isinstance(entries, list):
         raise DomainError('"roots" must be a list of [re, im] pairs')
-    roots = _check_pairs(entries, "roots")
+    roots = parse_pairs(entries, "roots")
     if len(roots) + inf_count != n:
         raise DomainError('"roots" length plus "at_infinity" must equal "n"')
     return RootMultiset(n, tuple(roots), inf_count)

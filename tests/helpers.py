@@ -1,18 +1,24 @@
 """Shared random generators and small utilities for the test suite."""
 
 import cmath
+import itertools
 import math
 
 import numpy as np
 
 from majsphere import (
+    DEFAULT_TOL,
     INFINITY,
     ExtendedComplex,
     MoebiusMap,
     RootMultiset,
     SymmetricState,
     chordal_distance,
+    degeneracy_configuration,
+    from_three_points,
+    majorana_roots,
 )
+from majsphere.canonical import TRIANGLE, _fold_unique, _in_domain_4
 
 OMEGA = cmath.exp(2j * math.pi / 3.0)
 
@@ -85,3 +91,30 @@ def multiset_matches(r1, r2, tol=1e-8):
             return False
         remaining.pop(best)
     return not remaining
+
+
+def proj_equal(m1, m2, tol=1e-9):
+    """Whether two determinant-one matrices describe the same map (up to sign)."""
+    d_plus = max(
+        abs(m1.a - m2.a), abs(m1.b - m2.b), abs(m1.c - m2.c), abs(m1.d - m2.d)
+    )
+    d_minus = max(
+        abs(m1.a + m2.a), abs(m1.b + m2.b), abs(m1.c + m2.c), abs(m1.d + m2.d)
+    )
+    return min(d_plus, d_minus) <= tol
+
+
+def canonical_4_all_triples(s, tol=DEFAULT_TOL):
+    """Folded four-qubit parameters from every ordered choice of three anchor
+    sites; all 24 agree (up to numerical noise) because the canonical form
+    is unique.  Needs four distinct sites."""
+    dc, clustered = degeneracy_configuration(majorana_roots(s), tol)
+    assert s.n == 4 and dc.diversity == 4
+    sites = clustered.points()
+    params = []
+    for triple in itertools.permutations(range(4), 3):
+        rest = next(i for i in range(4) if i not in triple)
+        anchor = from_three_points(*(sites[i] for i in triple), *TRIANGLE.vertices)
+        w = anchor(sites[rest])
+        params.append(_fold_unique(w, TRIANGLE.fold_group, _in_domain_4))
+    return params

@@ -10,7 +10,6 @@ from majsphere import (
     SymmetricState,
     apply_symmetric,
     canonical_4,
-    canonical_4_all_triples,
     canonical_5_degenerate,
     canonicalize,
     dicke,
@@ -28,8 +27,9 @@ from majsphere import (
     state_from_roots,
     triangle_frame,
 )
+from majsphere import canonical as canonical_module
 from majsphere.classify import DegeneracyConfiguration
-from helpers import OMEGA, random_moebius
+from helpers import OMEGA, canonical_4_all_triples, proj_equal, random_moebius
 
 HALF_PI = math.pi / 2
 THIRD = 2 * math.pi / 3
@@ -57,8 +57,6 @@ class TestTriangleFrame:
             ) > 0.5
 
     def test_fold_group_closed_under_composition(self):
-        from majsphere import proj_equal
-
         frame = triangle_frame()
         for g in frame.fold_group:
             for h in frame.fold_group:
@@ -91,7 +89,7 @@ class TestFamilyPolynomials:
         rng = np.random.default_rng(30)
         for _ in range(50):
             t = complex(rng.standard_normal(), rng.standard_normal())
-            c = majorana_polynomial(family_state_4(t)).as_array()
+            c = majorana_polynomial(family_state_4(t))
             expected = poly_prod([-1.0, t], [-1.0, 0.0, 0.0, 1.0])  # (tz-1)(z^3-1)
             scale = c[np.argmax(np.abs(expected))] / expected[np.argmax(np.abs(expected))]
             assert np.max(np.abs(c - scale * expected)) <= 1e-12 * max(1.0, np.max(np.abs(scale * expected)))
@@ -100,7 +98,7 @@ class TestFamilyPolynomials:
         rng = np.random.default_rng(31)
         for _ in range(50):
             t = complex(rng.standard_normal(), rng.standard_normal())
-            c = majorana_polynomial(family_state_5(t)).as_array()
+            c = majorana_polynomial(family_state_5(t))
             expected = poly_prod([-1.0, 1.0], [-1.0, t], [-1.0, 0.0, 0.0, 1.0])
             scale = c[np.argmax(np.abs(expected))] / expected[np.argmax(np.abs(expected))]
             assert np.max(np.abs(c - scale * expected)) <= 1e-12 * max(1.0, np.max(np.abs(scale * expected)))
@@ -110,7 +108,7 @@ class TestFamilyPolynomials:
         for _ in range(50):
             t1 = complex(rng.standard_normal(), rng.standard_normal())
             t2 = complex(rng.standard_normal(), rng.standard_normal())
-            c = majorana_polynomial(family_state_5_generic(t1, t2)).as_array()
+            c = majorana_polynomial(family_state_5_generic(t1, t2))
             expected = poly_prod([-1.0, t1], [-1.0, t2], [-1.0, 0.0, 0.0, 1.0])
             scale = c[np.argmax(np.abs(expected))] / expected[np.argmax(np.abs(expected))]
             assert np.max(np.abs(c - scale * expected)) <= 1e-12 * max(1.0, np.max(np.abs(scale * expected)))
@@ -409,6 +407,26 @@ class TestCanonicalizeDispatch:
     def test_too_many_qubits(self):
         with pytest.raises(DomainError):
             canonicalize(dicke(6, 0))
+
+    @pytest.mark.parametrize(
+        "state, solves",
+        [
+            (SymmetricState([0.6, 0.8j]), 0),
+            (SymmetricState([1, 0, 0, 1]), 1),
+            (dicke(4, 2), 1),
+            (family_state_4(param_to_t(0.5, 0.3)), 1),
+        ],
+    )
+    def test_roots_are_solved_at_most_once(self, monkeypatch, state, solves):
+        calls = []
+
+        def counting(s):
+            calls.append(s)
+            return majorana_roots(s)
+
+        monkeypatch.setattr(canonical_module, "majorana_roots", counting)
+        canonicalize(state)
+        assert len(calls) == solves
 
     def test_form_document(self):
         form = canonicalize(family_state_4(param_to_t(0.5, 0.3)))

@@ -28,20 +28,20 @@ from majsphere import (
     is_projective_unitary,
     locc_equivalent,
     majorana_roots,
-    proj_equal,
     slocc_equivalent,
     state_from_roots,
 )
 from majsphere.canonical import family_state_4, param_to_t
+from majsphere.plane import point_sort_key
 from majsphere.classify import (
     ClusteredRoots,
     _maps_multiset,
-    _site_sort_key,
     _target_triples,
     _witness_map,
 )
 from helpers import (
     OMEGA,
+    proj_equal,
     random_moebius,
     random_rotation,
     random_state,
@@ -267,7 +267,7 @@ def reference_decision(s1, s2, unitary, tol=1e-7):
 
 
 def sorted_sites(pairs):
-    return ClusteredRoots(tuple(sorted(pairs, key=lambda pair: _site_sort_key(pair[0]))))
+    return ClusteredRoots(tuple(sorted(pairs, key=lambda pair: point_sort_key(pair[0]))))
 
 
 def nudged(p, rng, chord):

@@ -231,3 +231,27 @@ class TestBatchAndErrors:
     def test_usage_error_is_exit_one(self, capsys):
         code, _, _ = run(capsys, ["no-such-command"])
         assert code == 1
+
+    @pytest.mark.parametrize("command", ["roots", "from-roots", "transform", "decompose"])
+    def test_tol_is_refused_where_nothing_reads_it(self, workdir, capsys, command):
+        roots = workdir["dir"] / "roots.json"
+        roots.write_text('{"n": 2, "roots": [[0.5, 0.0]], "at_infinity": 1}')
+        argv = {
+            "roots": ["roots", workdir["ghz"]],
+            "from-roots": ["from-roots", str(roots)],
+            "transform": ["transform", "--matrix", workdir["half"], workdir["ghz"]],
+            "decompose": ["decompose", "--matrix", workdir["half"]],
+        }[command]
+        assert run(capsys, argv)[0] == 0
+        assert run(capsys, argv + ["--tol", "1e-7"])[0] == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["classify", "w3"], ["canonical", "w3"], ["equiv", "ghz", "rotated"]],
+        ids=["classify", "canonical", "equiv"],
+    )
+    def test_tol_is_read_where_it_is_taken(self, workdir, capsys, argv):
+        argv = [workdir.get(a, a) for a in argv]
+        plain = run(capsys, argv)
+        assert plain[0] == 0
+        assert run(capsys, argv + ["--tol", "1e-7"]) == plain

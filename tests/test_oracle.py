@@ -35,6 +35,21 @@ def brute_force_dicke(n, k):
     return vec
 
 
+def permutation_sum_reference(bloch):
+    """The symmetrized product state as an explicit sum over all n! orderings."""
+    single = [
+        np.array([math.cos(0.5 * p.theta), np.exp(1j * p.phi) * math.sin(0.5 * p.theta)])
+        for p in bloch
+    ]
+    acc = np.zeros(2 ** len(bloch), dtype=complex)
+    for perm in itertools.permutations(range(len(bloch))):
+        prod = single[perm[0]]
+        for i in perm[1:]:
+            prod = (prod[:, None] * single[i][None, :]).reshape(-1)
+        acc += prod
+    return acc / np.linalg.norm(acc)
+
+
 class TestExpandFull:
     def test_s1_of_two(self):
         dense = expand_full(dicke(2, 1))
@@ -107,6 +122,16 @@ class TestSymmetrize:
             finite = tuple(r.value for r in roots if not r.is_infinite)
             s = state_from_roots(RootMultiset(n, finite, n - len(finite)))
             assert equal_up_to_scale(dense, expand_full(s), 1e-10)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_permutation_sum(self, n):
+        rng = np.random.default_rng(100 + n)
+        pts = [
+            SpherePoint(rng.uniform(0.0, math.pi), rng.uniform(0.0, 2 * math.pi))
+            for _ in range(n)
+        ]
+        diff = symmetrize(pts).amplitudes - permutation_sum_reference(pts)
+        assert np.max(np.abs(diff)) <= 1e-13
 
     def test_guards(self):
         with pytest.raises(DomainError):

@@ -8,10 +8,17 @@ from majsphere import (
     INFINITY,
     DomainError,
     ExtendedComplex,
+    MoebiusMap,
+    RootMultiset,
     SpherePoint,
     as_point,
     chordal_distance,
+    classify_map,
+    degeneracy_configuration,
     from_sphere,
+    map_from_doc,
+    roots_from_doc,
+    state_from_doc,
     to_sphere,
 )
 from majsphere.plane import chordal_distance_matrix, single_linkage
@@ -140,3 +147,63 @@ def test_single_linkage_small_inputs():
 def test_single_linkage_ignores_the_diagonal():
     assert single_linkage(np.eye(3, dtype=bool)) == [[0], [1], [2]]
     assert single_linkage(~np.eye(3, dtype=bool)) == [[0, 1, 2]]
+
+
+# --- the shared [re, im] decoder and point order ------------------------------
+
+BAD_PAIRS = {
+    "bool": [True, 0.0],
+    "three entries": [1.0, 0.0, 0.0],
+    "string": "1+0j",
+    "nested list": [[1.0], 0.0],
+}
+
+
+@pytest.mark.parametrize("bad", BAD_PAIRS.values(), ids=BAD_PAIRS.keys())
+@pytest.mark.parametrize(
+    "parse, doc, message",
+    [
+        (state_from_doc, lambda bad: {"n": 1, "dicke": [[1.0, 0.0], bad]},
+         "amplitudes must be [re, im] number pairs"),
+        (roots_from_doc, lambda bad: {"n": 2, "roots": [[0.5, 0.0], bad], "at_infinity": 0},
+         "roots must be [re, im] number pairs"),
+        (map_from_doc, lambda bad: {"matrix": [[1, 0], [0, 0], [0, 0], bad]},
+         "matrix entries must be [re, im] number pairs"),
+    ],
+    ids=["state", "roots", "matrix"],
+)
+def test_malformed_pairs_are_rejected(parse, doc, message, bad):
+    with pytest.raises(DomainError) as info:
+        parse(doc(bad))
+    assert str(info.value) == message
+
+
+# finite before infinity, then by modulus, then by argument mod 2*pi (so -1j,
+# at argument 3*pi/2, follows -1)
+ORDERED = [0.5 + 0j, 1 + 0j, 1j, -1 + 0j, -1j, -2 + 0.5j, 3 - 0.1j]
+
+
+def test_root_multisets_and_sites_share_the_point_order():
+    shuffled = [ORDERED[i] for i in (4, 2, 6, 0, 5, 3, 1)]
+    r = RootMultiset(len(ORDERED) + 1, tuple(shuffled), 1)
+    assert list(r.finite_roots) == ORDERED
+    assert r.points()[-1] is INFINITY
+    _, clustered = degeneracy_configuration(r)
+    assert clustered.points() == tuple(ExtendedComplex(z) for z in ORDERED) + (INFINITY,)
+
+
+@pytest.mark.parametrize("first, second", [(0.5, -1j), (-1j, 0.5), (1j, -2), (-2, 1j)])
+def test_fixed_points_share_the_point_order(first, second):
+    # loxodromic map with the given fixed points: conjugate z -> (2+1j) z
+    frame = MoebiusMap(first, second, 1.0, 1.0)  # sends 0 -> second, inf -> first
+    m = frame.compose(MoebiusMap.scaling(2 + 1j)).compose(frame.inverse())
+    fixed = classify_map(m).fixed_points
+    expected = sorted([first, second], key=lambda z: (abs(z), cmath.phase(z) % (2 * math.pi)))
+    assert len(fixed) == 2
+    for got, want in zip(fixed, expected):
+        assert chordal_distance(got, want) <= 1e-12
+
+
+def test_fixed_point_at_infinity_comes_last():
+    fixed = classify_map(MoebiusMap(2.0, -2.0, 0.0, 1.0)).fixed_points  # z -> 2z - 2
+    assert fixed[1] is INFINITY and chordal_distance(fixed[0], 2.0) <= 1e-12

@@ -79,15 +79,15 @@ class TestSymmetricState:
 
 class TestPolynomial:
     def test_ghz_polynomial_is_cubic_minus_one(self):
-        c = majorana_polynomial(GHZ3).as_array()
+        c = majorana_polynomial(GHZ3)
         assert np.allclose(c * math.sqrt(2.0), [-1, 0, 0, 1])
 
     def test_w_polynomial_is_linear(self):
-        c = majorana_polynomial(dicke(3, 1)).as_array()
+        c = majorana_polynomial(dicke(3, 1))
         assert np.allclose(c, [0, math.sqrt(3), 0, 0])
 
     def test_s0_polynomial_is_constant(self):
-        c = majorana_polynomial(dicke(4, 0)).as_array()
+        c = majorana_polynomial(dicke(4, 0))
         assert np.allclose(c, [1, 0, 0, 0, 0])
 
 
