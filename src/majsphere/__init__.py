@@ -48,10 +48,12 @@ from .symstate import (
 )
 from .classify import (
     DEFAULT_TOL,
+    Analysis,
     CircleSignature,
     ClusteredRoots,
     DegeneracyConfiguration,
     EquivalenceWitness,
+    analyze,
     circle_signature,
     cocircularity_witness,
     cross_ratio_fingerprint,

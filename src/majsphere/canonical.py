@@ -26,8 +26,9 @@ from typing import Optional
 from .errors import DomainError, NumericalError
 from .moebius import MoebiusMap, from_three_points
 from .plane import TAU, ExtendedComplex, chordal_distance
+# majorana_roots and degeneracy_configuration go unused; bench/spans.py patches them
 from .symstate import RootMultiset, SymmetricState, dicke, majorana_roots, state_from_roots
-from .classify import DEFAULT_TOL, DegeneracyConfiguration, degeneracy_configuration
+from .classify import DEFAULT_TOL, DegeneracyConfiguration, analyze, degeneracy_configuration
 
 OMEGA = cmath.exp(2j * math.pi / 3.0)
 #: slack for half-open domain edges; boundary points snap deterministically
@@ -195,7 +196,7 @@ def canonical_4(s: SymmetricState, tol: float = DEFAULT_TOL) -> CanonicalForm:
     """
     if s.n != 4:
         raise DomainError("canonical_4 needs a 4-qubit state")
-    dc, clustered = degeneracy_configuration(majorana_roots(s), tol)
+    _, dc, clustered = analyze(s, tol)
     part = dc.partition
     if part == (4,):
         return CanonicalForm(4, part, (), dicke(4, 0))
@@ -237,7 +238,7 @@ def canonical_5_degenerate(
     """
     if s.n != 5:
         raise DomainError("canonical_5_degenerate needs a 5-qubit state")
-    dc, clustered = degeneracy_configuration(majorana_roots(s), tol)
+    _, dc, clustered = analyze(s, tol)
     part = dc.partition
     if dc.diversity >= 5:
         raise DomainError("state has five distinct sites; use the generic form")
@@ -284,7 +285,7 @@ def representative_5_generic(
     """
     if s.n != 5:
         raise DomainError("representative_5_generic needs a 5-qubit state")
-    dc, clustered = degeneracy_configuration(majorana_roots(s), tol)
+    _, dc, clustered = analyze(s, tol)
     if dc.diversity != 5:
         raise DomainError("state has coinciding sites; use the degenerate form")
     sites = clustered.points()
@@ -341,7 +342,7 @@ def canonicalize(s: SymmetricState, tol: float = DEFAULT_TOL) -> CanonicalForm:
         return CanonicalForm(1, (1,), (), dicke(1, 0))
     if n == 4:
         return canonical_4(s, tol)
-    dc, _ = degeneracy_configuration(majorana_roots(s), tol)
+    dc = analyze(s, tol).dc
     if n in (2, 3):
         return CanonicalForm(n, dc.partition, (), representative_small(n, dc))
     if dc.diversity < 5:

@@ -22,7 +22,7 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -132,6 +132,34 @@ def degeneracy_configuration(
     sites.sort(key=lambda pair: point_sort_key(pair[0]))
     partition = tuple(sorted((mult for _, mult in sites), reverse=True))
     return DegeneracyConfiguration(partition), ClusteredRoots(tuple(sites))
+
+
+class Analysis(NamedTuple):
+    """A state's root multiset, clustered at one tolerance."""
+
+    roots: RootMultiset
+    dc: DegeneracyConfiguration
+    sites: ClusteredRoots
+
+
+def analyze(s: SymmetricState, tol: float = DEFAULT_TOL) -> Analysis:
+    """Roots, degeneracy configuration and sites of a state at ``tol``.
+
+    The state keeps the last result, so the deciders, the canonical forms
+    and the CLI solve and cluster each state once per tolerance.  A call
+    with another ``tol`` computes afresh and replaces the kept result; a
+    separately built state with equal amplitudes computes its own.  Sharing
+    the result is safe: its parts are frozen and the amplitudes read-only.
+    """
+    if not (tol > 0.0):
+        raise DomainError("clustering tolerance must be positive")
+    cached = s._analysis
+    if cached is not None and cached[0] == tol:
+        return cached[1]
+    roots = majorana_roots(s)
+    result = Analysis(roots, *degeneracy_configuration(roots, tol))
+    s._analysis = (tol, result)
+    return result
 
 
 # --- witness construction helpers -------------------------------------------
@@ -382,8 +410,8 @@ def _decide(
     if s1.n != s2.n:
         raise DomainError("states must have the same qubit count")
     kind = "locc" if unitary else "slocc"
-    dc1, sites1 = degeneracy_configuration(majorana_roots(s1), tol)
-    dc2, sites2 = degeneracy_configuration(majorana_roots(s2), tol)
+    _, dc1, sites1 = analyze(s1, tol)
+    _, dc2, sites2 = analyze(s2, tol)
     if dc1.partition != dc2.partition:
         return None
     d = dc1.diversity

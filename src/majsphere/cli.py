@@ -92,9 +92,7 @@ def _cmd_from_roots(args, path: str):
 
 def _cmd_classify(args, path: str):
     state = _load_state(path)
-    dc, clustered = _classify.degeneracy_configuration(
-        _symstate.majorana_roots(state), args.tol
-    )
+    _, dc, clustered = _classify.analyze(state, args.tol)
     doc = {
         "n": state.n,
         "partition": [int(p) for p in dc.partition],
@@ -176,10 +174,8 @@ def _cmd_equiv(args):
         if args.format == "text":
             return 0, [f"equivalent ({args.kind})", f"witness: {witness.map!r}"]
         return 0, [_dumps(doc)]
-    r1 = _symstate.majorana_roots(s1)
-    r2 = _symstate.majorana_roots(s2)
-    dc1, _ = _classify.degeneracy_configuration(r1, args.tol)
-    dc2, _ = _classify.degeneracy_configuration(r2, args.tol)
+    r1, dc1, _ = _classify.analyze(s1, args.tol)
+    r2, dc2, _ = _classify.analyze(s2, args.tol)
     doc = {"equivalent": False, "kind": args.kind}
     if dc1.partition != dc2.partition:
         doc["stage"] = "dc-mismatch"
@@ -228,7 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
         if name in _TOL_COMMANDS:
             p.add_argument("--tol", type=float, default=_classify.DEFAULT_TOL,
                            help="chordal tolerance for clustering and matching")
-        p.add_argument("--format", choices=("json", "text"), default="json")
+        if name != "plot":  # plot writes SVG only
+            p.add_argument("--format", choices=("json", "text"), default="json")
         if inputs == 1:
             p.add_argument("input", nargs="?", help="input JSON document")
             if name in _BATCH_COMMANDS:

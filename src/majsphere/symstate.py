@@ -52,9 +52,14 @@ _PHASE_ANCHOR_RTOL = 1e-9
 
 class SymmetricState:
     """Normalized symmetric state; the lowest nonzero Dicke amplitude is kept
-    real and positive so that equal states have equal amplitude vectors."""
+    real and positive so that equal states have equal amplitude vectors.
 
-    __slots__ = ("_amps",)
+    ``_analysis`` is the cache that :func:`majsphere.classify.analyze` owns:
+    ``None`` or its last ``(tol, Analysis)`` for this state.  Nothing else
+    reads it.
+    """
+
+    __slots__ = ("_amps", "_analysis")
 
     def __init__(self, amps):
         arr = np.array(amps, dtype=complex)
@@ -75,6 +80,7 @@ class SymmetricState:
         arr[anchor] = abs(arr[anchor])
         arr.flags.writeable = False
         self._amps = arr
+        self._analysis = None
 
     @property
     def amps(self) -> np.ndarray:
@@ -178,11 +184,9 @@ def _horner_pair(desc: np.ndarray, z: complex) -> tuple[complex, complex]:
     return p, dp
 
 
-def _scaled_residual(asc: np.ndarray, z: complex) -> float:
-    """|p(z)| / (max|c| * max(1, |z|)^deg), evaluated in the stable chart."""
-    cmax = float(np.max(np.abs(asc)))
-    if cmax == 0.0:
-        return 0.0
+def _scaled_residual(asc: np.ndarray, z: complex, cmax: float) -> float:
+    """|p(z)| / (max|c| * max(1, |z|)^deg), evaluated in the stable chart;
+    ``cmax`` is max|c| > 0, computed once per polynomial by the caller."""
     if abs(z) <= 1.0:
         val, _ = _horner_pair(asc[::-1], z)
     else:
@@ -232,9 +236,10 @@ def _derivative(asc: np.ndarray) -> np.ndarray:
 def _validate_multiple(asc: np.ndarray, z: complex, mult: int) -> bool:
     d = asc
     for _ in range(mult):
-        if float(np.max(np.abs(d))) == 0.0:
+        cmax = float(np.max(np.abs(d)))
+        if cmax == 0.0:
             return False
-        if _scaled_residual(d, z) > _MULTIPLE_VALIDATE_RTOL:
+        if _scaled_residual(d, z, cmax) > _MULTIPLE_VALIDATE_RTOL:
             return False
         d = _derivative(d)
     return True
@@ -339,7 +344,8 @@ def majorana_roots(s: SymmetricState) -> RootMultiset:
         raise NumericalError(f"companion eigenvalue solve failed: {exc}") from exc
     polished = np.array([_polish_root(work, complex(z)) for z in raw], dtype=complex)
     refined = _sharpen_roots(work, polished)
-    worst = max(_scaled_residual(work, complex(z)) for z in refined)
+    cmax = float(np.max(np.abs(work)))
+    worst = max(_scaled_residual(work, complex(z), cmax) for z in refined)
     if worst > RESIDUAL_RTOL:
         raise NumericalError(
             f"root polishing stalled at scaled residual {worst:.3e} "

@@ -18,6 +18,7 @@ from majsphere import (
     from_three_points,
     majorana_roots,
 )
+from majsphere import canonical, classify, symstate
 from majsphere.canonical import TRIANGLE, _fold_unique, _in_domain_4
 
 OMEGA = cmath.exp(2j * math.pi / 3.0)
@@ -118,3 +119,23 @@ def canonical_4_all_triples(s, tol=DEFAULT_TOL):
         w = anchor(sites[rest])
         params.append(_fold_unique(w, TRIANGLE.fold_group, _in_domain_4))
     return params
+
+
+def count_solves(monkeypatch):
+    """List that records each state whose roots are solved from here on.
+
+    Wraps ``majorana_roots`` in every module namespace the library calls it
+    through: ``classify`` (where :func:`majsphere.classify.analyze` solves),
+    ``canonical`` and ``symstate`` (which the CLI reaches as a module), so
+    a solve that bypasses ``analyze`` counts as well.
+    """
+    calls = []
+    for module in (symstate, classify, canonical):
+        real = module.majorana_roots
+
+        def counting(s, real=real):
+            calls.append(s)
+            return real(s)
+
+        monkeypatch.setattr(module, "majorana_roots", counting)
+    return calls

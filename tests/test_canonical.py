@@ -27,9 +27,8 @@ from majsphere import (
     state_from_roots,
     triangle_frame,
 )
-from majsphere import canonical as canonical_module
 from majsphere.classify import DegeneracyConfiguration
-from helpers import OMEGA, canonical_4_all_triples, proj_equal, random_moebius
+from helpers import OMEGA, canonical_4_all_triples, count_solves, proj_equal, random_moebius
 
 HALF_PI = math.pi / 2
 THIRD = 2 * math.pi / 3
@@ -415,16 +414,12 @@ class TestCanonicalizeDispatch:
             (SymmetricState([1, 0, 0, 1]), 1),
             (dicke(4, 2), 1),
             (family_state_4(param_to_t(0.5, 0.3)), 1),
+            (family_state_5(param_to_t(0.5, 0.3)), 1),
+            (family_state_5_generic(param_to_t(0.5, 0.3), param_to_t(1.2, 2.0)), 1),
         ],
     )
     def test_roots_are_solved_at_most_once(self, monkeypatch, state, solves):
-        calls = []
-
-        def counting(s):
-            calls.append(s)
-            return majorana_roots(s)
-
-        monkeypatch.setattr(canonical_module, "majorana_roots", counting)
+        calls = count_solves(monkeypatch)
         canonicalize(state)
         assert len(calls) == solves
 

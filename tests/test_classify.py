@@ -7,12 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from majsphere import (
+    DEFAULT_TOL,
     DomainError,
     INFINITY,
     ExtendedComplex,
     MoebiusMap,
+    NumericalError,
     RootMultiset,
     SymmetricState,
+    analyze,
     apply_symmetric,
     apply_tensor,
     chordal_distance,
@@ -31,6 +34,7 @@ from majsphere import (
     slocc_equivalent,
     state_from_roots,
 )
+from majsphere import classify as classify_module
 from majsphere.canonical import family_state_4, param_to_t
 from majsphere.plane import point_sort_key
 from majsphere.classify import (
@@ -41,6 +45,7 @@ from majsphere.classify import (
 )
 from helpers import (
     OMEGA,
+    count_solves,
     proj_equal,
     random_moebius,
     random_rotation,
@@ -122,6 +127,94 @@ class TestDegeneracyConfiguration:
                 assert dc.partition == part
                 seen.add(dc.partition)
             assert len(seen) == {4: 5, 5: 7}[n]
+
+
+def near_pair_state():
+    """n = 3 state whose roots 0.5 and 0.5125 lie 0.0199 apart (chordal):
+    three sites at the default tolerance, two at 0.05."""
+    return state_from_roots(RootMultiset(3, (0.5, 0.5125, -1.0), 0))
+
+
+class TestAnalyze:
+    def test_parts_are_those_of_the_uncached_functions(self):
+        s = random_state(np.random.default_rng(3), 6)
+        roots = majorana_roots(s)
+        assert analyze(s) == (roots, *degeneracy_configuration(roots))
+
+    def test_a_second_call_reuses_the_first(self, monkeypatch):
+        s = near_pair_state()
+        calls = count_solves(monkeypatch)
+        first = analyze(s)
+        assert analyze(s) is first
+        assert calls == [s]
+
+    @pytest.mark.parametrize("tols", [(DEFAULT_TOL, 0.05), (0.05, DEFAULT_TOL)])
+    def test_each_tolerance_gets_its_own_partition(self, tols):
+        s = near_pair_state()
+        expected = {DEFAULT_TOL: (1, 1, 1), 0.05: (2, 1)}
+        for tol in tols + tols:
+            assert analyze(s, tol).dc.partition == expected[tol]
+
+    def test_invalid_tolerance_after_a_cached_call(self):
+        s = near_pair_state()
+        analyze(s)
+        for tol in (0.0, -DEFAULT_TOL, float("nan")):
+            with pytest.raises(DomainError):
+                analyze(s, tol)
+
+    def test_a_failed_solve_is_not_kept(self, monkeypatch):
+        s = near_pair_state()
+
+        def failing(_):
+            raise NumericalError("stalled")
+
+        monkeypatch.setattr(classify_module, "majorana_roots", failing)
+        with pytest.raises(NumericalError):
+            analyze(s)
+        monkeypatch.undo()
+        assert analyze(s).dc.partition == (1, 1, 1)
+
+    def test_equal_amplitudes_in_another_state_compute_their_own(self, monkeypatch):
+        s = near_pair_state()
+        first = analyze(s)
+        calls = count_solves(monkeypatch)
+        twin = SymmetricState(s.amps)
+        assert analyze(twin) == first
+        assert calls == [twin]
+
+    def test_both_deciders_on_one_pair_solve_each_state_once(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        s1 = random_state(rng, 5)
+        s2 = apply_symmetric(random_moebius(rng), s1)
+        calls = count_solves(monkeypatch)
+        assert slocc_equivalent(s1, s2) is not None
+        assert locc_equivalent(s1, s2) is None
+        assert calls == [s1, s2]
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(
+        n=st.integers(4, 8),
+        relation=st.sampled_from(["moebius", "rotation", "unrelated"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_warm_cache_decides_like_fresh_states(self, n, relation, seed):
+        rng = np.random.default_rng(seed)
+        s1 = random_state(rng, n)
+        if relation == "unrelated":
+            s2 = random_state(rng, n)
+        elif relation == "rotation":
+            s2 = apply_symmetric(random_rotation(rng), s1)
+        else:
+            s2 = apply_symmetric(random_moebius(rng), s1)
+        analyze(s1)
+        analyze(s2)
+        for decide in (slocc_equivalent, locc_equivalent):
+            warm = decide(s1, s2)
+            fresh = decide(SymmetricState(s1.amps), SymmetricState(s2.amps))
+            assert (warm is None) == (fresh is None)
+            if warm is not None:
+                assert warm.kind == fresh.kind
+                assert np.array_equal(warm.map.matrix, fresh.map.matrix)
 
 
 class TestSloccDecider:

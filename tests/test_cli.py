@@ -1,5 +1,6 @@
 import json
 import math
+import pathlib
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -14,6 +15,9 @@ from majsphere import (
     state_to_doc,
 )
 from majsphere.cli import main
+from helpers import count_solves
+
+DATA = pathlib.Path(__file__).resolve().parent.parent / "demos" / "data"
 
 
 @pytest.fixture
@@ -129,6 +133,17 @@ class TestEquiv:
         assert doc["stage"] == "dc-mismatch"
         assert doc["partition1"] == [1, 1, 1] and doc["partition2"] == [2, 1]
 
+    def test_inequivalent_pair_solves_each_state_once(self, capsys, monkeypatch):
+        calls = count_solves(monkeypatch)
+        code, out, _ = run(capsys, [
+            "equiv",
+            str(DATA / "square_pyramid_state.json"),
+            str(DATA / "trigonal_bipyramid_state.json"),
+        ])
+        assert code == 2
+        assert "cocircularity" in json.loads(out)
+        assert len(calls) == 2
+
 
 class TestTransformDecompose:
     def test_transform(self, workdir, capsys):
@@ -187,6 +202,12 @@ class TestPlot:
     def test_missing_svg_flag(self, workdir, capsys):
         code, _, err = run(capsys, ["plot", workdir["ghz"]])
         assert code == 1 and "svg" in err
+
+    def test_format_is_refused(self, workdir, capsys, tmp_path):
+        svg = tmp_path / "out.svg"
+        code, _, _ = run(capsys, ["plot", workdir["ghz"], "--svg", str(svg), "--format", "text"])
+        assert code == 1
+        assert not svg.exists()
 
 
 class TestBatchAndErrors:
