@@ -1,12 +1,14 @@
 """Canonical representative states for up to five qubits.
 
 Every degeneracy class with at most three distinct sites is a single SLOCC
-class and gets a fixed representative.  The continuum of generic classes is
-parameterized by anchoring three sites on the equilateral equatorial
-triangle {1, w, w^2} (w = exp(2*pi*i/3)) and folding the remaining sites
-into a half-open fundamental domain with the rotations that preserve the
-anchored picture: z -> w^a * z (about the polar axis) and z -> 1/z (a half
-turn through the z = 1 vertex).
+class and gets a fixed representative from one table.  The continuum of
+generic classes is parameterized by anchoring three sites on the
+equilateral equatorial triangle {1, w, w^2} (w = exp(2*pi*i/3)) and folding
+the remaining sites with the rotations that preserve the anchored picture:
+z -> w^a * z (about the polar axis) and z -> 1/z (a half turn through the
+z = 1 vertex).  The fold keeps the image of least (theta, phi), which lies
+in the half-open domain [0, pi/2) x [0, 2pi/3) together with the equator
+edge {pi/2} x [0, pi/3].
 
 The four-qubit family  2|S0> + t|S1> + |S3> + 2t|S4>  has point set
 {1, w, w^2, 1/t}; the degenerate five-qubit family
@@ -21,11 +23,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError
 from .moebius import MoebiusMap, from_three_points
-from .plane import TAU, ExtendedComplex, chordal_distance
+from .plane import TAU, ExtendedComplex
 # majorana_roots and degeneracy_configuration go unused; bench/spans.py patches them
 from .symstate import RootMultiset, SymmetricState, dicke, majorana_roots, state_from_roots
 from .classify import DEFAULT_TOL, DegeneracyConfiguration, analyze, degeneracy_configuration
@@ -104,6 +105,27 @@ def family_state_5_generic(t1: complex, t2: complex) -> SymmetricState:
     return SymmetricState([s10, s2 * plus, prod, 1.0, s2 * plus, s10 * prod])
 
 
+_HALF = 0.5 * math.pi
+
+#: (n, partition) -> (params, constructor) for every class with at most three sites
+_FIXED = {
+    (2, (2,)): ((), lambda: dicke(2, 0)),
+    (2, (1, 1)): ((), lambda: dicke(2, 1)),
+    (3, (3,)): ((), lambda: dicke(3, 0)),
+    (3, (2, 1)): ((), lambda: dicke(3, 1)),
+    (3, (1, 1, 1)): ((), lambda: SymmetricState([1.0, 0.0, 0.0, 1.0])),
+    (4, (4,)): ((), lambda: dicke(4, 0)),
+    (4, (3, 1)): ((), lambda: dicke(4, 1)),
+    (4, (2, 2)): ((), lambda: dicke(4, 2)),
+    (4, (2, 1, 1)): ((_HALF, 0.0), lambda: family_state_4(1.0)),
+    (5, (5,)): ((), lambda: dicke(5, 0)),
+    (5, (4, 1)): ((), lambda: dicke(5, 1)),
+    (5, (3, 2)): ((), lambda: dicke(5, 2)),
+    (5, (3, 1, 1)): ((_HALF, 0.0), lambda: family_state_5(1.0)),
+    (5, (2, 2, 1)): ((_HALF, TAU / 3.0), lambda: family_state_5(OMEGA)),
+}
+
+
 def representative_small(n: int, dc: DegeneracyConfiguration) -> SymmetricState:
     """Fixed class representative for two or three qubits."""
     if isinstance(dc, tuple):
@@ -112,17 +134,10 @@ def representative_small(n: int, dc: DegeneracyConfiguration) -> SymmetricState:
         raise DomainError("fixed small representatives cover n = 2 and n = 3")
     if dc.n != n:
         raise DomainError(f"partition {dc.partition} does not sum to n={n}")
-    table = {
-        (2, (2,)): lambda: dicke(2, 0),
-        (2, (1, 1)): lambda: dicke(2, 1),
-        (3, (3,)): lambda: dicke(3, 0),
-        (3, (2, 1)): lambda: dicke(3, 1),
-        (3, (1, 1, 1)): lambda: SymmetricState([1.0, 0.0, 0.0, 1.0]),
-    }
-    key = (n, dc.partition)
-    if key not in table:
+    entry = _FIXED.get((n, dc.partition))
+    if entry is None:
         raise DomainError(f"invalid partition {dc.partition} for n={n}")
-    return table[key]()
+    return entry[1]()
 
 
 # --- fundamental-domain folding ----------------------------------------------
@@ -141,78 +156,57 @@ def _snap_phi(phi: float) -> float:
     return 0.0 if phi >= TAU - BOUNDARY_SLACK else phi
 
 
-def _in_domain_4(theta: float, phi: float) -> Optional[tuple[float, float]]:
-    """Snapped (theta, phi) if inside [0, pi/2) x [0, 2pi/3) together with
-    the equator edge {pi/2} x [0, pi/3], else None."""
-    phi = _snap_phi(phi)
-    half = 0.5 * math.pi
-    third = TAU / 3.0
-    if theta < half - BOUNDARY_SLACK:
-        if phi < third - BOUNDARY_SLACK:
-            return theta, phi
-        return None
-    if abs(theta - half) <= BOUNDARY_SLACK:
-        if phi <= third / 2.0 + BOUNDARY_SLACK:
-            return half, min(phi, third / 2.0)
-        return None
-    return None
+def _fold(w: ExtendedComplex) -> tuple[float, float]:
+    """(theta, phi) of the least fold image of the moving point w.
 
-
-def _fold_unique(w: ExtendedComplex, folds, in_domain) -> tuple[float, float]:
-    hits: list[tuple[float, float]] = []
-    for g in folds:
+    The six images are snapped (phi near 2pi to 0, theta near pi/2 to the
+    equator); of those within ``BOUNDARY_SLACK`` of the least theta, the one
+    of least phi wins.  On the equator phi is capped at pi/3, the end of
+    the equator edge.
+    """
+    images = []
+    for g in TRIANGLE.fold_group:
         theta, phi = _moving_param(g(w))
-        snapped = in_domain(theta, phi)
-        if snapped is None:
-            continue
-        if not any(
-            abs(snapped[0] - h[0]) <= 1e-8 and abs(snapped[1] - h[1]) <= 1e-8
-            for h in hits
-        ):
-            hits.append(snapped)
-    if len(hits) != 1:
-        raise NumericalError(
-            f"fold produced {len(hits)} in-domain parameters instead of one"
-        )
-    return hits[0]
+        if abs(theta - _HALF) <= BOUNDARY_SLACK:
+            theta = _HALF
+        images.append((theta, _snap_phi(phi)))
+    lowest = min(theta for theta, _ in images) + BOUNDARY_SLACK
+    theta, phi = min((p for p in images if p[0] <= lowest), key=lambda p: p[1])
+    if theta == _HALF:
+        phi = min(phi, TAU / 6.0)
+    return theta, phi
 
 
-def _near_vertex(w: ExtendedComplex, tol: float) -> Optional[int]:
-    for i, v in enumerate(TRIANGLE.vertices):
-        if chordal_distance(w, v) <= tol:
-            return i
-    return None
+def _form(s: SymmetricState, tol: float) -> CanonicalForm:
+    """Fixed form, or one-parameter family form, of a state with 2..5 qubits
+    and at most four distinct sites."""
+    n = s.n
+    _, dc, clustered = analyze(s, tol)
+    entry = _FIXED.get((n, dc.partition))
+    if entry is not None:
+        params, build = entry
+        return CanonicalForm(n, dc.partition, params, build())
+    # four sites, the doubled one (n = 5) first: three anchors and the mover
+    sites = [site for site, _ in sorted(clustered.sites, key=lambda sm: -sm[1])]
+    anchor = from_three_points(*sites[:3], *TRIANGLE.vertices)
+    theta, phi = _fold(anchor(sites[3]))
+    family = family_state_4 if n == 4 else family_state_5
+    return CanonicalForm(n, dc.partition, (theta, phi), family(param_to_t(theta, phi)))
 
 
 def canonical_4(s: SymmetricState, tol: float = DEFAULT_TOL) -> CanonicalForm:
     """Unique canonical form of a four-qubit state.
 
-    Partitions (4), (3,1), (2,2) map to the fixed representatives |S0>,
-    |S1>, |S2>.  Partition (2,1,1) maps to the family point (pi/2, 0), where
-    the moving point joins the z = 1 vertex.  For four distinct sites, three
-    are sent to the triangle and the image of the fourth is folded into the
-    fundamental domain; a fourth point landing within ``tol`` of a vertex is
-    relabeled (2,1,1) instead of producing an ill-conditioned parameter.
+    The partition is always ``analyze``'s.  Partitions (4), (3,1), (2,2)
+    map to the fixed representatives |S0>, |S1>, |S2>.  Partition (2,1,1)
+    maps to the family point (pi/2, 0), where the moving point joins the
+    z = 1 vertex.  For four distinct sites, three are sent to the triangle
+    and the fourth takes its fold image of least (theta, phi); see
+    :func:`_fold`.
     """
     if s.n != 4:
         raise DomainError("canonical_4 needs a 4-qubit state")
-    _, dc, clustered = analyze(s, tol)
-    part = dc.partition
-    if part == (4,):
-        return CanonicalForm(4, part, (), dicke(4, 0))
-    if part == (3, 1):
-        return CanonicalForm(4, part, (), dicke(4, 1))
-    if part == (2, 2):
-        return CanonicalForm(4, part, (), dicke(4, 2))
-    if part == (2, 1, 1):
-        return CanonicalForm(4, part, (0.5 * math.pi, 0.0), family_state_4(1.0))
-    sites = clustered.points()
-    anchor = from_three_points(*sites[:3], *TRIANGLE.vertices)
-    w = anchor(sites[3])
-    if _near_vertex(w, tol) is not None:
-        return CanonicalForm(4, (2, 1, 1), (0.5 * math.pi, 0.0), family_state_4(1.0))
-    theta, phi = _fold_unique(w, TRIANGLE.fold_group, _in_domain_4)
-    return CanonicalForm(4, part, (theta, phi), family_state_4(param_to_t(theta, phi)))
+    return _form(s, tol)
 
 
 _HALF_FOLD = (MoebiusMap.identity(), MoebiusMap(0.0, 1.0, 1.0, 0.0))
@@ -223,8 +217,9 @@ def canonical_5_degenerate(
 ) -> CanonicalForm:
     """Unique canonical form of a five-qubit state with coinciding points.
 
-    Partitions (5), (4,1), (3,2) map to |S0>, |S1>, |S2>; (3,1,1) and
-    (2,2,1) sit at the family points (pi/2, 0) and (pi/2, 2pi/3).  For
+    The partition is always ``analyze``'s.  Partitions (5), (4,1), (3,2)
+    map to |S0>, |S1>, |S2>; (3,1,1) and (2,2,1) sit at the family points
+    (pi/2, 0) and (pi/2, 2pi/3).  For
     partition (2,1,1,1) the doubled site goes to the z = 1 vertex, two of
     the single sites to the other vertices, and the remaining image is
     folded into the same fundamental domain as the four-qubit family.
@@ -238,38 +233,9 @@ def canonical_5_degenerate(
     """
     if s.n != 5:
         raise DomainError("canonical_5_degenerate needs a 5-qubit state")
-    _, dc, clustered = analyze(s, tol)
-    part = dc.partition
-    if dc.diversity >= 5:
+    if analyze(s, tol).dc.diversity >= 5:
         raise DomainError("state has five distinct sites; use the generic form")
-    if part == (5,):
-        return CanonicalForm(5, part, (), dicke(5, 0))
-    if part == (4, 1):
-        return CanonicalForm(5, part, (), dicke(5, 1))
-    if part == (3, 2):
-        return CanonicalForm(5, part, (), dicke(5, 2))
-    if part == (3, 1, 1):
-        return CanonicalForm(5, part, (0.5 * math.pi, 0.0), family_state_5(1.0))
-    if part == (2, 2, 1):
-        return CanonicalForm(
-            5, part, (0.5 * math.pi, TAU / 3.0), family_state_5(OMEGA)
-        )
-    # partition (2, 1, 1, 1)
-    doubled = next(site for site, mult in clustered.sites if mult == 2)
-    singles = [site for site, mult in clustered.sites if mult == 1]
-    anchor = from_three_points(
-        doubled, singles[0], singles[1], *TRIANGLE.vertices
-    )
-    w = anchor(singles[2])
-    vertex = _near_vertex(w, tol)
-    if vertex == 0:
-        return CanonicalForm(5, (3, 1, 1), (0.5 * math.pi, 0.0), family_state_5(1.0))
-    if vertex is not None:
-        return CanonicalForm(
-            5, (2, 2, 1), (0.5 * math.pi, TAU / 3.0), family_state_5(OMEGA)
-        )
-    theta, phi = _fold_unique(w, TRIANGLE.fold_group, _in_domain_4)
-    return CanonicalForm(5, part, (theta, phi), family_state_5(param_to_t(theta, phi)))
+    return _form(s, tol)
 
 
 def representative_5_generic(
@@ -340,14 +306,9 @@ def canonicalize(s: SymmetricState, tol: float = DEFAULT_TOL) -> CanonicalForm:
         raise DomainError("canonical forms are available for n <= 5 only")
     if n == 1:
         return CanonicalForm(1, (1,), (), dicke(1, 0))
-    if n == 4:
-        return canonical_4(s, tol)
-    dc = analyze(s, tol).dc
-    if n in (2, 3):
-        return CanonicalForm(n, dc.partition, (), representative_small(n, dc))
-    if dc.diversity < 5:
-        return canonical_5_degenerate(s, tol)
-    return representative_5_generic(s, tol)
+    if n == 5 and analyze(s, tol).dc.diversity == 5:
+        return representative_5_generic(s, tol)
+    return _form(s, tol)
 
 
 def form_to_doc(cf: CanonicalForm) -> dict:

@@ -19,7 +19,7 @@ from majsphere import (
     majorana_roots,
 )
 from majsphere import canonical, classify, symstate
-from majsphere.canonical import TRIANGLE, _fold_unique, _in_domain_4
+from majsphere.canonical import TRIANGLE, _fold
 
 OMEGA = cmath.exp(2j * math.pi / 3.0)
 
@@ -117,7 +117,7 @@ def canonical_4_all_triples(s, tol=DEFAULT_TOL):
         rest = next(i for i in range(4) if i not in triple)
         anchor = from_three_points(*(sites[i] for i in triple), *TRIANGLE.vertices)
         w = anchor(sites[rest])
-        params.append(_fold_unique(w, TRIANGLE.fold_group, _in_domain_4))
+        params.append(_fold(w))
     return params
 
 

@@ -1,10 +1,14 @@
 import cmath
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from majsphere import (
+    DenseState,
     DomainError,
     RootMultiset,
     SymmetricState,
@@ -13,6 +17,8 @@ from majsphere import (
     canonical_5_degenerate,
     canonicalize,
     dicke,
+    equal_up_to_scale,
+    expand_full,
     family_state_4,
     family_state_5,
     family_state_5_generic,
@@ -27,7 +33,8 @@ from majsphere import (
     state_from_roots,
     triangle_frame,
 )
-from majsphere.classify import DegeneracyConfiguration
+from majsphere.canonical import BOUNDARY_SLACK
+from majsphere.classify import DegeneracyConfiguration, analyze
 from helpers import OMEGA, canonical_4_all_triples, count_solves, proj_equal, random_moebius
 
 HALF_PI = math.pi / 2
@@ -135,6 +142,58 @@ class TestFamilyPolynomials:
             sp = to_sphere(moving[0])
             assert abs(sp.theta - theta) <= 1e-9
             assert abs(sp.phi - phi) <= 1e-9
+
+
+def g_abcd(a, b, c, d):
+    """Dense G_abcd, the generic family of the nine-family classification of
+    four-qubit states (Verstraete et al., PRA 65, 052112)."""
+    amps = np.zeros(16, dtype=complex)
+    for weight, strings in (
+        ((a + d) / 2, ("0000", "1111")),
+        ((a - d) / 2, ("0011", "1100")),
+        ((b + c) / 2, ("0101", "1010")),
+        ((b - c) / 2, ("0110", "1001")),
+    ):
+        for bits in strings:
+            amps[int(bits, 2)] = weight
+    return DenseState(4, amps)
+
+
+class TestReadmeFourQubitTable:
+    """Each G_abcd row of the README's four-qubit table, read from the README."""
+
+    ROWS = [
+        re.split(r"(?<!\\)\|", line)[1:4]
+        for line in (pathlib.Path(__file__).resolve().parent.parent / "README.md")
+        .read_text(encoding="utf-8")
+        .splitlines()
+        if "| G_{abcd} |" in line
+    ]
+
+    @staticmethod
+    def symmetric_state(cell, mu):
+        """sum_k w_k |S_k> from a cell's "(w) \\|S_k>" terms, |S_k> the
+        unnormalized sum of the basis states with k ones."""
+        weights = dict.fromkeys(range(5), 0.0)
+        for weight, k in re.findall(r"(?:\(([^()]*)\)\s*)?\\\|S_(\d)>", cell):
+            weights[int(k)] += eval(weight or "1", {"mu": mu})
+        return SymmetricState([weights[k] * math.sqrt(math.comb(4, k)) for k in range(5)])
+
+    def test_rows_are_the_dense_family_members(self):
+        assert len(self.ROWS) == 2
+        for label, _, params in self.ROWS:
+            partition = tuple(int(p) for p in re.match(r"\s*\(([\d,]+)\)", label)[1].split(","))
+            for mu in (0.3, 0.7 + 0.2j, 2.0):
+                abcd = [eval(p.split("=")[1], {"mu": mu}) for p in params.split(",")]
+                s = self.symmetric_state(label, mu)
+                assert equal_up_to_scale(g_abcd(*abcd), expand_full(s), 1e-12)
+                assert analyze(s).dc.partition == partition
+
+    def test_generic_row_degenerates_where_it_says(self):
+        label = next(row[0] for row in self.ROWS if "(1,1,1,1)" in row[0])
+        bound = eval(re.search(r"mu != \+-(\S+)", label)[1])
+        for mu in (bound, -bound):
+            assert analyze(self.symmetric_state(label, mu)).dc.partition == (2, 2)
 
 
 class TestRepresentativeSmall:
@@ -344,6 +403,51 @@ class TestCanonical5Degenerate:
             assert slocc_equivalent(s, form.state) is not None
 
 
+class TestFold:
+    """The fold picks the least image, so no point lacks a form, even within
+    ``BOUNDARY_SLACK`` of an edge of the domain."""
+
+    @pytest.mark.parametrize(
+        "decide, family, partition",
+        [
+            (canonical_4, family_state_4, (1, 1, 1, 1)),
+            (canonical_5_degenerate, family_state_5, (2, 1, 1, 1)),
+        ],
+    )
+    def test_band_below_the_equator_folds(self, decide, family, partition):
+        # the band straddles the snap edge theta = pi/2 - BOUNDARY_SLACK, so
+        # the six fold images of one point round to either side of it
+        for offset in np.linspace(0.95e-9, 1.05e-9, 21):
+            for phi in np.linspace(0.05, 2.05, 41):
+                form = decide(family(param_to_t(HALF_PI - offset, phi)))
+                assert form.partition == partition
+                assert 0.0 <= form.params[1] < THIRD
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(
+        edge=st.sampled_from(["equator", "phi=0", "phi=2pi/3", "equator end"]),
+        family=st.sampled_from([family_state_4, family_state_5]),
+        # on the edge, at the slack, and anywhere up to ten slacks off
+        offset=st.one_of(st.sampled_from([0.0, BOUNDARY_SLACK]), st.floats(0.0, 1e-8)),
+        along=st.floats(0.1, 0.9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_edges_fold_and_agree_off_the_seam(self, edge, family, offset, along, seed):
+        theta, phi = {
+            "equator": (HALF_PI - offset, along * THIRD),
+            "phi=0": (along * HALF_PI, offset),
+            "phi=2pi/3": (along * HALF_PI, THIRD - offset),
+            "equator end": (HALF_PI, THIRD / 2 + (offset if along > 0.5 else -offset)),
+        }[edge]
+        s = family(param_to_t(theta, phi))
+        image = apply_symmetric(random_moebius(np.random.default_rng(seed)), s)
+        form, image_form = canonicalize(s), canonicalize(image)
+        # the seam sits at the slack: offsets near it may fold either way
+        if offset == 0.0 or offset >= 5e-9:
+            assert form.partition == image_form.partition
+            assert max(abs(a - b) for a, b in zip(form.params, image_form.params)) <= 1e-6
+
+
 class TestRepresentative5Generic:
     def test_reading_off_canonical_configuration(self):
         roots = RootMultiset(
@@ -389,6 +493,20 @@ class TestRepresentative5Generic:
             representative_5_generic(dicke(4, 0))
 
 
+@st.composite
+def roots_with_close_pairs(draw):
+    """One to five random roots; up to two of them sit 10**e from another
+    root, e in [-9, -2] (``tol`` is 1e-7), or on it."""
+    n = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    roots = list(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    exponents = draw(st.lists(st.one_of(st.none(), st.floats(-9.0, -2.0)), max_size=n // 2))
+    for i, e in enumerate(exponents):
+        step = 0.0 if e is None else 10.0**e * cmath.exp(2j * math.pi * rng.uniform())
+        roots[2 * i + 1] = roots[2 * i] + step
+    return tuple(roots)
+
+
 class TestCanonicalizeDispatch:
     def test_small_n(self):
         assert canonicalize(dicke(1, 1)).partition == (1,)
@@ -422,6 +540,15 @@ class TestCanonicalizeDispatch:
         calls = count_solves(monkeypatch)
         canonicalize(state)
         assert len(calls) == solves
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(roots=roots_with_close_pairs())
+    # two close pairs, each 1e-4 or more apart (chordal), that the triangle
+    # frame squeezes onto a vertex: all four sites stay distinct
+    @example(roots=(0.05, 0.05 * 1.001, 5.0, 5.0 + 3.9e-3))
+    def test_partition_is_the_analyzed_one(self, roots):
+        s = state_from_roots(RootMultiset(len(roots), tuple(complex(z) for z in roots), 0))
+        assert canonicalize(s).partition == analyze(s).dc.partition
 
     def test_form_document(self):
         form = canonicalize(family_state_4(param_to_t(0.5, 0.3)))

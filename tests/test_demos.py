@@ -1,7 +1,8 @@
-"""Smoke test: every demo script runs to completion against the library."""
+"""Smoke test: every demo script and the README quickstart run to completion."""
 
 import os
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -26,3 +27,13 @@ def test_demo_runs(script, tmp_path):
         capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_readme_quickstart_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```python\n(.*?)```", readme, re.S)
+    assert block is not None
+    script = tmp_path / "readme" / "quickstart.py"
+    script.parent.mkdir()
+    script.write_text(block[1], encoding="utf-8")
+    test_demo_runs(script, tmp_path)
