@@ -21,23 +21,16 @@ from .plane import (
     INFINITY,
     ExtendedComplex,
     Pointlike,
-    as_point,
     chordal_distance,
     complex_pair,
+    from_homogeneous,
+    homogeneous_pair,
     parse_pairs,
     point_sort_key,
 )
 
 #: chordal separation below which triple points count as coincident
 _DISTINCT_TOL = 1e-12
-
-
-def _homog(p: Pointlike) -> tuple[complex, complex]:
-    """Homogeneous coordinates (p, q) with z = p/q; infinity is (1, 0)."""
-    p = as_point(p)
-    if p.is_infinite:
-        return 1.0 + 0.0j, 0.0j
-    return p.value, 1.0 + 0.0j
 
 
 class MoebiusMap:
@@ -89,15 +82,8 @@ class MoebiusMap:
         return np.array([[self.a, self.b], [self.c, self.d]], dtype=complex)
 
     def __call__(self, z: Pointlike) -> ExtendedComplex:
-        p, q = _homog(z)
-        num = self.a * p + self.b * q
-        den = self.c * p + self.d * q
-        if den == 0:
-            return INFINITY
-        w = num / den
-        if not (math.isfinite(w.real) and math.isfinite(w.imag)):
-            return INFINITY
-        return ExtendedComplex(w)
+        x, y = homogeneous_pair(z)
+        return from_homogeneous(self.a * x + self.b * y, self.c * x + self.d * y)
 
     def compose(self, other: "MoebiusMap") -> "MoebiusMap":
         """The map z -> self(other(z))."""
@@ -120,7 +106,7 @@ class MoebiusMap:
 
 def _to_zero_one_inf(v1: Pointlike, v2: Pointlike, v3: Pointlike) -> MoebiusMap:
     # map sending (v1, v2, v3) -> (0, 1, inf), built from homogeneous 2x2 minors
-    (x1, y1), (x2, y2), (x3, y3) = _homog(v1), _homog(v2), _homog(v3)
+    (x1, y1), (x2, y2), (x3, y3) = (homogeneous_pair(v) for v in (v1, v2, v3))
     d23 = x2 * y3 - x3 * y2
     d21 = x2 * y1 - x1 * y2
     return MoebiusMap(y1 * d23, -x1 * d23, y3 * d21, -x3 * d21)
@@ -134,15 +120,13 @@ def from_three_points(
 
     Each triple must consist of pairwise distinct points.
     """
-    vs = [as_point(v) for v in (v1, v2, v3)]
-    ws = [as_point(w) for w in (w1, w2, w3)]
-    for triple, name in ((vs, "source"), (ws, "target")):
+    for triple, name in (((v1, v2, v3), "source"), ((w1, w2, w3), "target")):
         for i in range(3):
             for j in range(i + 1, 3):
                 if chordal_distance(triple[i], triple[j]) <= _DISTINCT_TOL:
                     raise DomainError(f"{name} triple contains coincident points")
-    fwd = _to_zero_one_inf(*vs)
-    back = _to_zero_one_inf(*ws)
+    fwd = _to_zero_one_inf(v1, v2, v3)
+    back = _to_zero_one_inf(w1, w2, w3)
     return back.inverse().compose(fwd)
 
 
@@ -154,21 +138,12 @@ def cross_ratio(
     Computed from homogeneous 2x2 minors, which realizes the limit rule of
     cancelling the two factors that contain an infinite point.
     """
-    h1, h2, h3, h4 = (_homog(v) for v in (v1, v2, v3, v4))
-
-    def minor(p, q):
-        return p[0] * q[1] - q[0] * p[1]
-
-    num = minor(h1, h3) * minor(h2, h4)
-    den = minor(h2, h3) * minor(h1, h4)
-    if den == 0:
-        if num == 0:
-            raise DomainError("cross-ratio is an undefined 0/0 combination")
-        return INFINITY
-    w = num / den
-    if not (math.isfinite(w.real) and math.isfinite(w.imag)):
-        return INFINITY
-    return ExtendedComplex(w)
+    (x1, y1), (x2, y2), (x3, y3), (x4, y4) = (homogeneous_pair(v) for v in (v1, v2, v3, v4))
+    num = (x1 * y3 - x3 * y1) * (x2 * y4 - x4 * y2)
+    den = (x2 * y3 - x3 * y2) * (x1 * y4 - x4 * y1)
+    if den == 0 and num == 0:
+        raise DomainError("cross-ratio is an undefined 0/0 combination")
+    return from_homogeneous(num, den)
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,15 @@ The stereographic convention used throughout the package maps a plane point
 z to the sphere point with polar angle ``theta = 2*arctan(1/|z|)`` and
 azimuth ``phi = (-arg z) mod 2*pi``, i.e. ``z = cot(theta/2) * exp(-i*phi)``.
 The point at infinity sits at the north pole (theta = 0) and z = 0 at the
-south pole.  Distances between points are measured with the chordal metric
-of the embedded unit sphere, which stays finite at infinity.  The module
-also holds what the other modules share about points: their serialization
-order, their homogeneous coordinates and the JSON [re, im] pair codec.
+south pole.  A point's homogeneous coordinates are the pair (x, y) with
+z = x/y: (z, 1) for a finite point and (1, 0) for infinity.
+:func:`homogeneous_pair` and :func:`from_homogeneous` are the two directions
+of that convention, and the routines here and in :mod:`majsphere.moebius`
+and :mod:`majsphere.symstate` compute with the pair instead of treating
+infinity apart.  Distances between points are measured with the chordal
+metric of the embedded unit sphere, which stays finite at infinity.  The
+module also holds what the other modules share about points: their
+serialization order and the JSON [re, im] pair codec.
 """
 
 from __future__ import annotations
@@ -34,10 +39,7 @@ class ExtendedComplex:
     __slots__ = ("_value",)
 
     def __init__(self, value):
-        value = complex(value)
-        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-            raise DomainError("a finite point needs finite real and imaginary parts")
-        self._value = value
+        self._value = _finite(value)
 
     @property
     def is_infinite(self) -> bool:
@@ -71,6 +73,14 @@ class ExtendedComplex:
         return f"ExtendedComplex({self._value!r})"
 
 
+def _finite(value) -> complex:
+    """The value as a complex number, which must be finite."""
+    value = complex(value)
+    if not cmath.isfinite(value):
+        raise DomainError("a finite point needs finite real and imaginary parts")
+    return value
+
+
 INFINITY = object.__new__(ExtendedComplex)
 INFINITY._value = None
 
@@ -84,17 +94,30 @@ def as_point(x: Pointlike) -> ExtendedComplex:
     return ExtendedComplex(x)
 
 
+def homogeneous_pair(p: Pointlike) -> tuple[complex, float]:
+    """Homogeneous coordinates (x, y) of a point, with z = x/y: (z, 1.0) for
+    a finite point and (1, 0) for infinity."""
+    if not isinstance(p, ExtendedComplex):
+        return _finite(p), 1.0
+    if p._value is None:
+        return 1.0 + 0.0j, 0.0
+    return p._value, 1.0
+
+
+def from_homogeneous(x: complex, y: complex) -> ExtendedComplex:
+    """The point x/y; infinity when y == 0 or the quotient is not finite."""
+    if y == 0:
+        return INFINITY
+    z = x / y
+    return ExtendedComplex(z) if cmath.isfinite(z) else INFINITY
+
+
 def chordal_distance(p: Pointlike, q: Pointlike) -> float:
     """Chordal distance between two extended-plane points (range [0, 2])."""
-    p = as_point(p)
-    q = as_point(q)
-    if p.is_infinite and q.is_infinite:
-        return 0.0
-    if p.is_infinite or q.is_infinite:
-        z = q.value if p.is_infinite else p.value
-        return 2.0 / math.hypot(1.0, abs(z))
-    z, w = p.value, q.value
-    return 2.0 * abs(z - w) / (math.hypot(1.0, abs(z)) * math.hypot(1.0, abs(w)))
+    x1, y1 = homogeneous_pair(p)
+    x2, y2 = homogeneous_pair(q)
+    scale = math.hypot(abs(x1), y1) * math.hypot(abs(x2), y2)
+    return 2.0 * abs(x1 * y2 - x2 * y1) / scale
 
 
 def point_sort_key(p: Pointlike) -> tuple[int, float, float]:
@@ -108,12 +131,10 @@ def point_sort_key(p: Pointlike) -> tuple[int, float, float]:
 
 
 def homogeneous(points: Sequence[Pointlike]) -> np.ndarray:
-    """Homogeneous coordinates of the points as a 2 x n complex array:
-    (z, 1) for a finite point, (1, 0) for infinity."""
-    return np.array([
-        [1.0 if p is INFINITY else complex(p) for p in points],
-        [0.0 if p is INFINITY else 1.0 for p in points],
-    ], dtype=complex)
+    """Homogeneous coordinates of the points as a 2 x n complex array, one
+    :func:`homogeneous_pair` per column."""
+    pairs = [homogeneous_pair(p) for p in points]
+    return np.array([[x for x, _ in pairs], [y for _, y in pairs]], dtype=complex)
 
 
 def chordal_distance_matrix(points: Sequence[Pointlike]) -> np.ndarray:
@@ -151,13 +172,8 @@ class SpherePoint:
 
 def to_sphere(p: Pointlike) -> SpherePoint:
     """Sphere point of an extended-plane point; infinity maps to the north pole."""
-    p = as_point(p)
-    if p.is_infinite:
-        return SpherePoint(0.0, 0.0)
-    z = p.value
-    theta = 2.0 * math.atan2(1.0, abs(z))
-    phi = (-cmath.phase(z)) % TAU
-    return SpherePoint(theta, phi)
+    x, y = homogeneous_pair(p)
+    return SpherePoint(2.0 * math.atan2(y, abs(x)), (-cmath.phase(x)) % TAU)
 
 
 def from_sphere(sp: SpherePoint) -> ExtendedComplex:

@@ -27,6 +27,7 @@ from .plane import (
     chordal_distance,
     chordal_distance_matrix,
     complex_pair,
+    homogeneous,
     parse_pairs,
     point_sort_key,
     single_linkage,
@@ -44,10 +45,11 @@ _POLISH_STALLS = 3
 _SHARPEN_TOL = 8e-3
 #: scaled derivative residual accepted when validating a multiple root
 _MULTIPLE_VALIDATE_RTOL = 1e-11
-#: finite roots beyond this modulus are indistinguishable from infinity
-_INFINITY_SNAP = 1e18
 #: relative size for picking the amplitude that anchors the global phase
 _PHASE_ANCHOR_RTOL = 1e-9
+#: amplitudes whose largest part is above this or below its inverse are first
+#: divided by that part: their 2-norm would overflow or sum subnormal squares
+_RESCALE_BEYOND = 1e150
 
 
 class SymmetricState:
@@ -67,9 +69,12 @@ class SymmetricState:
             raise DomainError("need n+1 amplitudes for some n >= 1")
         if not np.all(np.isfinite(arr)):
             raise DomainError("amplitudes must be finite")
-        biggest = float(np.max(np.abs(arr)))
+        # the largest real or imaginary part: unlike a modulus, it cannot overflow
+        biggest = float(np.max(np.abs(arr.view(float))))
         if biggest == 0.0:
             raise DomainError("the zero vector is not a state")
+        if not 1.0 / _RESCALE_BEYOND <= biggest <= _RESCALE_BEYOND:
+            arr = arr / biggest
         norm = float(np.linalg.norm(arr))
         if abs(norm - 1.0) > 1e-12:
             arr = arr / norm
@@ -357,28 +362,26 @@ def majorana_roots(s: SymmetricState) -> RootMultiset:
     return RootMultiset(n, tuple(complex(z) for z in refined), n - deg)
 
 
-def state_from_roots(r: RootMultiset) -> SymmetricState:
-    """State whose polynomial has exactly the given root multiset.
-
-    Expands the product over finite roots, divides out the binomial/sign
-    factors, zeroes the amplitudes above the polynomial degree, and lets the
-    state constructor normalize and fix the phase.
-    """
-    finite: list[complex] = []
-    extra_inf = 0
-    for z in r.finite_roots:
-        if abs(z) > _INFINITY_SNAP:
-            extra_inf += 1
-        else:
-            finite.append(z)
-    n = r.n
+def _state_from_points(n: int, points) -> SymmetricState:
+    """State whose polynomial is the product of y*w - x over the points'
+    homogeneous pairs (x, y); a point at infinity gives a constant factor,
+    and so one unit of degree drop.  Each factor is scaled by the power of
+    two that puts its larger coefficient in [1, 2): that is exact, so the
+    product keeps the digits of the monic one, and far roots cannot make
+    it overflow.  The state constructor normalizes and fixes the phase."""
+    x, y = homogeneous(points)
+    scale = np.ldexp(1.0, 1 - np.frexp(np.maximum(np.abs(x), np.abs(y)))[1])
     desc = np.ones(1, dtype=complex)
-    for z in finite:
-        desc = np.convolve(desc, np.array([1.0, -z], dtype=complex))
+    # descending coefficients, as in the monic [1, -z]: the other order rounds differently
+    for factor in np.stack([y * scale, -x * scale], axis=1):
+        desc = np.convolve(desc, factor)
     signs, weights = _dicke_weights(n)
-    amps = np.zeros(n + 1, dtype=complex)
-    amps[: len(desc)] = signs[: len(desc)] * desc[::-1] / weights[: len(desc)]
-    return SymmetricState(amps)
+    return SymmetricState(signs * desc[::-1] / weights)
+
+
+def state_from_roots(r: RootMultiset) -> SymmetricState:
+    """State whose polynomial has exactly the given root multiset."""
+    return _state_from_points(r.n, r.points())
 
 
 def apply_symmetric(m: MoebiusMap, s: SymmetricState) -> SymmetricState:
@@ -387,16 +390,9 @@ def apply_symmetric(m: MoebiusMap, s: SymmetricState) -> SymmetricState:
     This is the same state (up to scale and phase) as applying the matrix of
     m to each qubit of the expanded state vector.
     """
-    roots = majorana_roots(s)
-    finite: list[complex] = []
-    inf_count = 0
-    for p in roots.points():
-        image = m(p)
-        if image.is_infinite:
-            inf_count += 1
-        else:
-            finite.append(image.value)
-    return state_from_roots(RootMultiset(s.n, tuple(finite), inf_count))
+    # in the order a RootMultiset keeps: the product's rounding depends on it
+    images = sorted((m(p) for p in majorana_roots(s).points()), key=point_sort_key)
+    return _state_from_points(s.n, images)
 
 
 # --- JSON documents ---------------------------------------------------------

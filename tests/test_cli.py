@@ -72,6 +72,15 @@ class TestRootsAndBack:
         doc = json.loads(first)
         assert json.loads(json.dumps(doc)) == doc
 
+    def test_huge_amplitudes_are_normalized(self, tmp_path, capsys):
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps({"n": 1, "dicke": [[1e200, 0], [1e200, 0]]}))
+        unit = tmp_path / "unit.json"
+        unit.write_text(json.dumps({"n": 1, "dicke": [[1, 0], [1, 0]]}))
+        code, out, _ = run(capsys, ["roots", str(huge)])
+        assert code == 0
+        assert out == run(capsys, ["roots", str(unit)])[1]
+
 
 class TestClassifyCanonical:
     def test_classify(self, workdir, capsys):
@@ -154,6 +163,20 @@ class TestTransformDecompose:
         doc = json.loads(out)
         expected = SymmetricState([1.0, 0.0, 0.0, 8.0])
         assert fidelity(state_from_doc(doc), expected) >= 1 - 1e-9
+
+    def test_transform_with_a_large_scaling_at_n_64(self, tmp_path, capsys):
+        # 300^64 overflows a double; the image a_k * 300^-k does not
+        rng = np.random.default_rng(64)
+        s = SymmetricState(rng.standard_normal(65) + 1j * rng.standard_normal(65))
+        state = tmp_path / "n64.json"
+        state.write_text(json.dumps(state_to_doc(s)))
+        matrix = tmp_path / "diag.json"
+        matrix.write_text(json.dumps({"matrix": [[300, 0], [0, 0], [0, 0], [1, 0]]}))
+        code, out, _ = run(capsys, ["transform", "--matrix", str(matrix), str(state)])
+        assert code == 0
+        logs = np.log(np.abs(s.amps)) - np.arange(65) * math.log(300.0)
+        exact = np.exp(logs - logs.max()) * np.exp(1j * np.angle(s.amps))
+        assert 1.0 - fidelity(state_from_doc(json.loads(out)), SymmetricState(exact)) <= 1e-12
 
     def test_decompose_affine_values(self, tmp_path, capsys):
         root_a = math.sqrt(2.5)

@@ -21,7 +21,26 @@ from majsphere import (
     state_from_doc,
     to_sphere,
 )
-from majsphere.plane import chordal_distance_matrix, single_linkage
+from majsphere.plane import (
+    chordal_distance_matrix,
+    from_homogeneous,
+    homogeneous_pair,
+    single_linkage,
+)
+
+
+def test_homogeneous_pair_and_back():
+    assert homogeneous_pair(INFINITY) == (1.0, 0.0)
+    assert homogeneous_pair(0) == (0.0, 1.0)
+    assert homogeneous_pair(ExtendedComplex(2 - 1j)) == (2 - 1j, 1.0)
+    with pytest.raises(DomainError):
+        homogeneous_pair(complex("inf"))
+    assert from_homogeneous(1.0, 0.0) is INFINITY
+    assert from_homogeneous(0.0, 1.0) == 0
+    assert from_homogeneous(3j, 2.0) == 1.5j
+    # a quotient that overflows is the point at infinity
+    assert from_homogeneous(1e300, 1e-300) is INFINITY
+    assert from_homogeneous(1e300 + 1e300j, 1e-300) is INFINITY
 
 
 def test_infinity_singleton_behaviour():

@@ -69,6 +69,24 @@ class TestSymmetricState:
         t = SymmetricState([0.0, -1.0, 0.0, 0.0])
         assert t.amps[1] == 1.0
 
+    @pytest.mark.parametrize("amps", [
+        [1e200, 1e200],
+        [1e-200, 1e-200],
+        [1e160, 3e159, 1.0],
+        [1e-170, 0.0, 2e-170],
+        [1e-160, 1e-161j],
+        [1.5e308 + 1.5e308j, 1.0],
+    ])
+    def test_huge_or_tiny_amplitudes_are_normalized(self, amps):
+        # the 2-norm of these over- or underflows, or sums subnormal squares
+        # (the last one's largest modulus overflows too); the state is their
+        # direction
+        s = SymmetricState(amps)
+        assert np.linalg.norm(s.amps) == pytest.approx(1.0)
+        parts = np.array(amps, dtype=complex).view(float)
+        rescaled = np.array(amps, dtype=complex) / np.max(np.abs(parts))
+        assert np.array_equal(s.amps, SymmetricState(rescaled).amps)
+
     def test_fidelity_is_phase_free(self):
         s = SymmetricState([1.0, 2.0, 3.0])
         t = SymmetricState(np.array([1.0, 2.0, 3.0]) * cmath.exp(0.7j))
@@ -239,6 +257,38 @@ class TestStateFromRoots:
             assert fidelity(s, state_from_roots(majorana_roots(s))) >= 1 - 1e-9
             assert multiset_matches(majorana_roots(s), target, 1e-8)
 
+    def test_matches_the_monic_product(self):
+        # the factors' power-of-two scaling is exact, so roots whose monic
+        # product does not overflow keep its digits
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            n = int(rng.integers(1, 33))
+            moduli = 10.0 ** rng.uniform(-3.0, 3.0, n)
+            roots = moduli * np.exp(2j * math.pi * rng.uniform(size=n))
+            r = RootMultiset(n, tuple(complex(z) for z in roots), 0)
+            desc = np.ones(1, dtype=complex)
+            for z in r.finite_roots:
+                desc = np.convolve(desc, np.array([1.0, -z], dtype=complex))
+            k = np.arange(n + 1)
+            signs = np.where((n - k) % 2 == 0, 1.0, -1.0)
+            weights = np.array([math.sqrt(math.comb(n, j)) for j in range(n + 1)])
+            reference = SymmetricState(signs * desc[::-1] / weights)
+            assert np.array_equal(state_from_roots(r).amps, reference.amps)
+
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("radius", [10.0, 1e10, 1e50, 1e200])
+    def test_far_ring_gives_the_closed_form(self, n, radius):
+        # n roots of modulus R are z^n - R^n, so a_n / a_0 = -(-1)^n R^-n.
+        # That is far below TRUNCATION_RTOL for most of these rings, which
+        # read back at infinity (ROADMAP item 13); only the state is checked
+        roots = tuple(radius * cmath.exp(2j * math.pi * k / n) for k in range(n))
+        s = state_from_roots(RootMultiset(n, roots, 0))
+        assert np.all(np.isfinite(s.amps))
+        exact = np.zeros(n + 1, dtype=complex)
+        exact[0] = 1.0
+        exact[n] = -((-1) ** n) * math.exp(-n * math.log(radius))
+        assert 1.0 - fidelity(s, SymmetricState(exact)) <= 1e-12
+
 
 class TestApplySymmetric:
     def test_identity_map(self):
@@ -292,6 +342,23 @@ class TestApplySymmetric:
             )
             for x, y in zip(dist_before, dist_after):
                 assert abs(x - y) <= 1e-9
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 64),
+    log_scale=st.floats(-9.0, 9.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_scaling_divides_amplitudes_by_powers_of_the_scale(n, log_scale, seed):
+    # z -> c*z sends a_k to a_k * c^-k; taken in logs, the exact image
+    # cannot overflow, whatever c^n is
+    s = random_state(np.random.default_rng(seed), n)
+    c = 10.0 ** log_scale
+    logs = np.log(np.abs(s.amps)) - np.arange(n + 1) * math.log(c)
+    exact = np.exp(logs - logs.max()) * np.exp(1j * np.angle(s.amps))
+    image = apply_symmetric(MoebiusMap.scaling(c), s)
+    assert 1.0 - fidelity(image, SymmetricState(exact)) <= 1e-12
 
 
 class TestSphereChecks:
