@@ -492,53 +492,35 @@ def fingerprints_intersect(
 
 @dataclass(frozen=True)
 class CircleSignature:
-    """Census of circles through site triples: for every triple the number
-    of sites on its circle and the population of the smaller spherical cap."""
+    """Census of circles through site triples: for every triple that spans a
+    circle, in the order of the triples, the number of sites on it."""
 
-    circles: tuple[tuple[tuple[ExtendedComplex, ExtendedComplex, ExtendedComplex], int, int], ...]
+    counts: tuple[int, ...]
 
     def on_circle_counts(self) -> tuple[int, ...]:
-        return tuple(sorted(count for _, count, _ in self.circles))
+        return tuple(sorted(self.counts))
 
 
 def circle_signature(r: RootMultiset, tol: float = DEFAULT_TOL) -> CircleSignature:
     """Circle census of a root multiset's distinct sites.
 
     Each site triple spans a plane; its circle is the plane's intersection
-    with the sphere.  Sites within ``tol`` of the plane count as on the
-    circle, the rest populate the two caps.
+    with the sphere, and sites within ``tol`` of the plane count as on the
+    circle.  All triples are measured in one array pass; the sums are
+    written out elementwise, in a fixed order, so that the counts do not
+    depend on how a matrix product would order them.
     """
     _, clustered = degeneracy_configuration(r, tol)
-    sites = clustered.points()
-    xyz = [point_xyz(p) for p in sites]
-    records = []
-    for (i, j, k) in itertools.combinations(range(len(sites)), 3):
-        p1, p2, p3 = xyz[i], xyz[j], xyz[k]
-        u = tuple(p2[t] - p1[t] for t in range(3))
-        v = tuple(p3[t] - p1[t] for t in range(3))
-        normal = (
-            u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0],
-        )
-        length = math.sqrt(sum(c * c for c in normal))
-        if length == 0.0:
-            continue
-        normal = tuple(c / length for c in normal)
-        offset = sum(normal[t] * p1[t] for t in range(3))
-        on_count = 0
-        above = 0
-        below = 0
-        for x in xyz:
-            gap = sum(normal[t] * x[t] for t in range(3)) - offset
-            if abs(gap) <= tol:
-                on_count += 1
-            elif gap > 0:
-                above += 1
-            else:
-                below += 1
-        records.append(((sites[i], sites[j], sites[k]), on_count, min(above, below)))
-    return CircleSignature(tuple(records))
+    xyz = np.array([point_xyz(p) for p in clustered.points()])
+    triples = np.array(list(itertools.combinations(range(len(xyz)), 3)), dtype=int)
+    p1, p2, p3 = xyz[triples.reshape(-1, 3).T]
+    normal = np.cross(p2 - p1, p3 - p1)
+    length = np.sqrt((normal * normal).sum(axis=1))
+    spans = length != 0.0
+    normal = normal[spans] / length[spans, None]
+    offset = (normal * p1[spans]).sum(axis=1)
+    gap = (normal[:, None] * xyz).sum(axis=2) - offset[:, None]
+    return CircleSignature(tuple((np.abs(gap) <= tol).sum(axis=1).tolist()))
 
 
 def cocircularity_witness(

@@ -3,14 +3,14 @@
 Two hemisphere views are drawn side by side: the front view looks along +y
 (north pole up, azimuth 0 toward the viewer's right), the back view shows
 the opposite hemisphere mirrored so walking around the sphere reads
-naturally.  Sites are white dots with a multiplicity badge when points
-coincide; optional circles (plane cuts of the sphere) are overlaid dashed.
+naturally.  Each view draws the sphere's outline and its equator (seen
+edge-on, a horizontal line); sites are white dots with a multiplicity badge
+when points coincide.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .classify import DEFAULT_TOL, degeneracy_configuration
 from .plane import SpherePoint, sphere_xyz, to_sphere
@@ -24,11 +24,9 @@ _RIM_EPS = 1e-9
 
 @dataclass(frozen=True)
 class PlotSpec:
-    """Sites (sphere point, multiplicity) plus optional overlay circles given
-    as (nx, ny, nz, offset) plane cuts of the unit sphere."""
+    """Sites (sphere point, multiplicity) and an optional title."""
 
     sites: tuple[tuple[SpherePoint, int], ...]
-    circles: tuple[tuple[float, float, float, float], ...] = field(default_factory=tuple)
     title: str = ""
 
 
@@ -37,7 +35,7 @@ def spec_from_roots(r: RootMultiset, tol: float = DEFAULT_TOL, title: str = "") 
     sites = tuple(
         (to_sphere(site), mult) for site, mult in clustered.sites
     )
-    return PlotSpec(sites, circles=((0.0, 0.0, 1.0, 0.0),), title=title)
+    return PlotSpec(sites, title=title)
 
 
 def _fmt(x: float) -> str:
@@ -51,50 +49,6 @@ def _project(xyz: tuple[float, float, float], view: int) -> tuple[float, float, 
     px = cx + _RADIUS * (x if view == 0 else -x)
     py = cy - _RADIUS * z
     return px, py, visible
-
-
-def _circle_polyline(circle, view: int) -> list[str]:
-    nx, ny, nz, h = circle
-    norm = math.sqrt(nx * nx + ny * ny + nz * nz)
-    if norm == 0.0 or abs(h) / norm >= 1.0:
-        return []
-    nx, ny, nz = nx / norm, ny / norm, nz / norm
-    h = h / norm
-    rho = math.sqrt(1.0 - h * h)
-    # orthonormal basis of the cutting plane
-    if abs(nz) < 0.9:
-        ux, uy, uz = ny * 1.0 - nz * 0.0, nz * 0.0 - nx * 1.0, nx * 0.0 - ny * 0.0
-    else:
-        ux, uy, uz = ny * 0.0 - nz * 1.0, nz * 0.0 - nx * 0.0, nx * 1.0 - ny * 0.0
-    un = math.sqrt(ux * ux + uy * uy + uz * uz)
-    ux, uy, uz = ux / un, uy / un, uz / un
-    vx = ny * uz - nz * uy
-    vy = nz * ux - nx * uz
-    vz = nx * uy - ny * ux
-    pieces = []
-    current: list[str] = []
-    for i in range(181):
-        ang = 2.0 * math.pi * i / 180.0
-        ca, sa = math.cos(ang), math.sin(ang)
-        p = (
-            h * nx + rho * (ca * ux + sa * vx),
-            h * ny + rho * (ca * uy + sa * vy),
-            h * nz + rho * (ca * uz + sa * vz),
-        )
-        px, py, vis = _project(p, view)
-        if vis:
-            current.append(f"{_fmt(px)},{_fmt(py)}")
-        elif current:
-            pieces.append(current)
-            current = []
-    if current:
-        pieces.append(current)
-    return [
-        f'<polyline points="{" ".join(piece)}" fill="none" stroke="#999999" '
-        f'stroke-width="1" stroke-dasharray="4 3"/>'
-        for piece in pieces
-        if len(piece) >= 2
-    ]
 
 
 def render_svg(spec: PlotSpec) -> str:
@@ -124,8 +78,6 @@ def render_svg(spec: PlotSpec) -> str:
             f'<text x="{_fmt(cx)}" y="{_fmt(cy + _RADIUS + 28)}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="13">{label}</text>'
         )
-        for circle in spec.circles:
-            parts.extend(_circle_polyline(circle, view))
         for sp, mult in spec.sites:
             px, py, visible = _project(sphere_xyz(sp), view)
             if not visible:

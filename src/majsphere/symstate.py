@@ -134,8 +134,9 @@ class RootMultiset:
         object.__setattr__(self, "n", int(self.n))
         roots = tuple(complex(z) for z in self.finite_roots)
         for z in roots:
-            if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-                raise DomainError("finite roots must be finite")
+            # the modulus, which the sort key takes, must not overflow either
+            if not math.isfinite(math.hypot(z.real, z.imag)):
+                raise DomainError("finite roots must have a finite modulus")
         if not isinstance(self.infinity_count, (int, np.integer)) or self.infinity_count < 0:
             raise DomainError("infinity_count must be a nonnegative integer")
         object.__setattr__(self, "infinity_count", int(self.infinity_count))
@@ -178,9 +179,11 @@ def majorana_polynomial(s: SymmetricState) -> np.ndarray:
 # threshold.  That test asks whether the input is near a multiple root, not
 # whether rounding could have made one, so close distinct roots do merge:
 # with sites 0.2 apart, a partner 3e-5 away (chordal) merged in 3 to 59% of
-# draws for n = 4 to 16, and one 1e-3 away in 3% at n = 16.  Degenerate
-# clusters beyond multiplicity ~6 away from 0 and infinity exceed what
-# double precision can certify and are left as fans.
+# draws for n = 4 to 16, and one 1e-3 away in 3% at n = 16.  A fan of three
+# or more that fails to collapse splits at the longest edge of its minimum
+# spanning tree, through ``single_linkage``, and each part is tried again.
+# Degenerate clusters beyond multiplicity ~6 away from 0 and infinity exceed
+# what double precision can certify and are left as fans.
 
 
 def _horner_pair(desc: np.ndarray, z: complex) -> tuple[complex, complex]:
@@ -253,43 +256,19 @@ def _validate_multiple(asc: np.ndarray, z: complex, mult: int) -> bool:
     return True
 
 
-def _split_cluster(pts: list[complex]) -> tuple[list[complex], list[complex]]:
-    # break the cluster at the longest edge of its minimum spanning tree
-    count = len(pts)
-    dist = chordal_distance_matrix(pts).tolist()
-    in_tree = [False] * count
-    in_tree[0] = True
-    best_dist = list(dist[0])
-    best_from = [0] * count
-    edges = []
-    for _ in range(count - 1):
-        j = min(
-            (j for j in range(count) if not in_tree[j]),
-            key=lambda j: best_dist[j],
-        )
-        edges.append((best_from[j], j, best_dist[j]))
-        in_tree[j] = True
-        for k in range(count):
-            if not in_tree[k] and dist[j][k] < best_dist[k]:
-                best_dist[k] = dist[j][k]
-                best_from[k] = j
-    cut = max(range(len(edges)), key=lambda i: edges[i][2])
-    adj: dict[int, list[int]] = {i: [] for i in range(count)}
-    for i, (u, v, _) in enumerate(edges):
-        if i != cut:
-            adj[u].append(v)
-            adj[v].append(u)
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    left = [pts[i] for i in range(count) if i in seen]
-    right = [pts[i] for i in range(count) if i not in seen]
-    return left, right
+def _split_cluster(pts: list[complex]) -> list[list[complex]]:
+    """The single-linkage clusters of pts just below the longest edge of
+    their minimum spanning tree, found by Prim's growth from pts[0]."""
+    dist = chordal_distance_matrix(pts)
+    reach = dist[0]
+    grown = np.arange(len(pts)) == 0
+    level = 0.0
+    while not grown.all():
+        j = int(np.where(grown, np.inf, reach).argmin())
+        level = max(level, reach[j])
+        grown[j] = True
+        reach = np.minimum(reach, dist[j])
+    return [[pts[i] for i in part] for part in single_linkage(dist < level)]
 
 
 def _refine_cluster(asc: np.ndarray, pts: list[complex]) -> list[complex]:
@@ -312,8 +291,7 @@ def _refine_cluster(asc: np.ndarray, pts: list[complex]) -> list[complex]:
             return [z] * mult
     if mult == 2:
         return pts
-    left, right = _split_cluster(pts)
-    return _refine_cluster(asc, left) + _refine_cluster(asc, right)
+    return [z for part in _split_cluster(pts) for z in _refine_cluster(asc, part)]
 
 
 def _sharpen_roots(asc: np.ndarray, roots: np.ndarray) -> np.ndarray:

@@ -19,6 +19,7 @@ from majsphere import (
     apply_symmetric,
     apply_tensor,
     chordal_distance,
+    circle_signature,
     cocircularity_witness,
     cross_ratio_fingerprint,
     degeneracy_configuration,
@@ -36,7 +37,7 @@ from majsphere import (
 )
 from majsphere import classify as classify_module
 from majsphere.canonical import family_state_4, param_to_t
-from majsphere.plane import point_sort_key
+from majsphere.plane import from_sphere, point_sort_key, point_xyz, sphere_from_xyz
 from majsphere.classify import (
     ClusteredRoots,
     _maps_multiset,
@@ -48,6 +49,7 @@ from helpers import (
     count_solves,
     proj_equal,
     random_moebius,
+    random_point,
     random_rotation,
     random_state,
     separated_points,
@@ -623,3 +625,68 @@ class TestCocircularity:
     def test_mismatched_n(self):
         with pytest.raises(DomainError):
             cocircularity_witness(SQUARE_PYRAMID, majorana_roots(GHZ3))
+
+
+def census_reference(r, tol=DEFAULT_TOL):
+    """Sorted on-circle counts of the circle census, one site triple and one
+    site at a time: the loop that the array census replaced."""
+    _, clustered = degeneracy_configuration(r, tol)
+    xyz = [point_xyz(p) for p in clustered.points()]
+    counts = []
+    for i, j, k in itertools.combinations(range(len(xyz)), 3):
+        p1, p2, p3 = xyz[i], xyz[j], xyz[k]
+        u = tuple(p2[t] - p1[t] for t in range(3))
+        v = tuple(p3[t] - p1[t] for t in range(3))
+        normal = (
+            u[1] * v[2] - u[2] * v[1],
+            u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0],
+        )
+        length = math.sqrt(sum(c * c for c in normal))
+        if length == 0.0:
+            continue
+        normal = tuple(c / length for c in normal)
+        offset = sum(normal[t] * p1[t] for t in range(3))
+        counts.append(sum(
+            abs(sum(normal[t] * x[t] for t in range(3)) - offset) <= tol for x in xyz
+        ))
+    return tuple(sorted(counts))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(
+    count=st.integers(4, 8),
+    off_circle=st.integers(0, 4),
+    at_zero=st.booleans(),
+    at_infinity=st.booleans(),
+    push=st.floats(0.0, 1.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_census_counts_match_the_per_triple_reference(
+    count, off_circle, at_zero, at_infinity, push, seed
+):
+    # sites on the circle through three anchors (0 and infinity among them
+    # on request), one of them pushed off it by push * tol along its plane
+    # normal, so that it lands on either side of the threshold
+    rng = np.random.default_rng(seed)
+    anchors = [ExtendedComplex(0.0)] * at_zero + [INFINITY] * at_infinity
+    while len(anchors) < 3:
+        anchors.append(random_point(rng))
+    a, b, c = (np.array(point_xyz(p)) for p in anchors)
+    normal = np.cross(b - a, c - a)
+    normal /= np.linalg.norm(normal)
+    centre = (normal @ a) * normal
+    radius = np.linalg.norm(a - centre)
+    u = (a - centre) / radius
+    v = np.cross(normal, u)
+    off_circle = min(off_circle, count - 4)
+    extra = [
+        centre + radius * (math.cos(t) * u + math.sin(t) * v)
+        for t in rng.uniform(0.0, 2.0 * math.pi, count - 3 - off_circle)
+    ]
+    extra[0] = extra[0] + push * DEFAULT_TOL * normal
+    extra += [rng.standard_normal(3) for _ in range(off_circle)]
+    points = anchors + [from_sphere(sphere_from_xyz(*w)) for w in extra]
+    finite = tuple(p.value for p in points if not p.is_infinite)
+    r = RootMultiset(count, finite, count - len(finite))
+    assert circle_signature(r).on_circle_counts() == census_reference(r)

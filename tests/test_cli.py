@@ -215,6 +215,28 @@ class TestPlot:
         assert code == 0
         assert "x2" in svg.read_text()
 
+    def test_each_view_draws_its_equator_once(self, capsys, tmp_path):
+        # the equator is seen edge-on: one horizontal line across each view
+        path = tmp_path / "w3.json"
+        path.write_text(json.dumps(state_to_doc(dicke(3, 1))))
+        svg = tmp_path / "w.svg"
+        code, _, _ = run(capsys, ["plot", str(path), "--svg", str(svg)])
+        assert code == 0
+        elements = [(el.tag.rsplit("}", 1)[-1], el) for el in ET.parse(svg).getroot().iter()]
+        rims = [el for tag, el in elements if tag == "circle" and el.get("fill") == "none"]
+        lines = [el for tag, el in elements if tag == "line"]
+        assert "polyline" not in {tag for tag, _ in elements}
+        assert len(rims) == len(lines) == 2
+        for rim, line in zip(rims, lines):
+            cx, cy, radius = (float(rim.get(k)) for k in ("cx", "cy", "r"))
+            assert float(line.get("y1")) == float(line.get("y2")) == cy
+            assert float(line.get("x1")) == cx - radius
+            assert float(line.get("x2")) == cx + radius
+        # the sites at 0 and at infinity sit on the rim, so both views show them
+        dots = [el for tag, el in elements if tag == "circle" and el.get("fill") == "white"]
+        assert len(dots) == 4
+        assert "x2" in svg.read_text()
+
     def test_roots_document_input(self, capsys, tmp_path):
         path = tmp_path / "roots.json"
         path.write_text(json.dumps({"n": 2, "roots": [[0, 0]], "at_infinity": 1}))
@@ -255,6 +277,15 @@ class TestBatchAndErrors:
         code, _, err = run(capsys, ["roots", "no_such_file.json"])
         assert code == 1
         assert err
+
+    def test_root_whose_modulus_overflows(self, capsys, tmp_path):
+        path = tmp_path / "far.json"
+        # both parts are finite, but the modulus overflows a double
+        doc = {"n": 2, "roots": [[1.5e308, 1.5e308], [0.5, 0]], "at_infinity": 0}
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["from-roots", str(path)])
+        assert code == 1 and out == ""
+        assert err.startswith("majsphere: ") and err.count("\n") == 1
 
     def test_malformed_document(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
