@@ -13,15 +13,12 @@ from majsphere import (
     MoebiusMap,
     RootMultiset,
     apply_symmetric,
-    canonical_4,
-    canonical_5_degenerate,
     canonicalize,
     chordal_distance,
     dicke,
     family_state_4,
     family_state_5,
     param_to_t,
-    representative_5_generic,
     slocc_equivalent,
     state_from_roots,
 )
@@ -54,7 +51,7 @@ print("== Four-qubit family: construct, scramble, recover ==")
 theta, phi = 0.5, 0.3
 state = family_state_4(param_to_t(theta, phi))
 scrambled = apply_symmetric(random_moebius(rng), state)
-form = canonical_4(scrambled)
+form = canonicalize(scrambled)
 print(f"constructed at (theta, phi) = ({theta}, {phi})")
 print(f"recovered        (theta, phi) = ({form.params[0]:.12f}, {form.params[1]:.12f})\n")
 
@@ -62,16 +59,16 @@ print("== Five-qubit family with a doubled point ==")
 theta, phi = 0.8, 2.0
 state = family_state_5(param_to_t(theta, phi))
 scrambled = apply_symmetric(random_moebius(rng), state)
-form = canonical_5_degenerate(scrambled)
+form = canonicalize(scrambled)
 print(f"constructed at (theta, phi) = ({theta}, {phi})")
 print(f"recovered        (theta, phi) = ({form.params[0]:.12f}, {form.params[1]:.12f})")
 print("special points: t = 1 joins the doubled vertex, t = exp(2i pi/3) a single one")
-print(f"  t=1      -> {canonical_5_degenerate(family_state_5(1.0)).partition}")
-print(f"  t=omega  -> {canonical_5_degenerate(family_state_5(np.exp(2j*np.pi/3))).partition}\n")
+print(f"  t=1      -> {canonicalize(family_state_5(1.0)).partition}")
+print(f"  t=omega  -> {canonicalize(family_state_5(np.exp(2j*np.pi/3))).partition}\n")
 
 print("== Generic five-qubit states (over-complete parameterization) ==")
 s = state_from_roots(separated_root_multiset(rng, 5, 0.2))
-form = representative_5_generic(s)
+form = canonicalize(s)
 print(f"parameters (theta1, phi1, theta2, phi2) = {tuple(round(p, 6) for p in form.params)}")
 print(f"flagged unique: {form.unique}")
 print(f"representative is SLOCC-equivalent to the input: "

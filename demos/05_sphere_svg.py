@@ -8,7 +8,7 @@ pyramid.
 import pathlib
 
 from majsphere import RootMultiset, SymmetricState, dicke, majorana_roots
-from majsphere.sphereplot import render_svg, spec_from_roots
+from majsphere.sphereplot import render_svg
 
 here = pathlib.Path(__file__).resolve().parent
 
@@ -26,5 +26,5 @@ pictures = {
 
 for name, (roots, title) in pictures.items():
     path = here / name
-    path.write_text(render_svg(spec_from_roots(roots, title=title)))
+    path.write_text(render_svg(roots, title=title))
     print(f"wrote {path}")

@@ -64,19 +64,13 @@ from .classify import (
 )
 from .canonical import (
     CanonicalForm,
-    TriangleFrame,
-    canonical_4,
-    canonical_5_degenerate,
     canonicalize,
     family_state_4,
     family_state_5,
     family_state_5_generic,
     form_to_doc,
     param_to_t,
-    representative_5_generic,
-    representative_small,
     t_to_param,
-    triangle_frame,
 )
 from .oracle import (
     DenseState,

@@ -28,30 +28,22 @@ from .errors import DomainError
 from .moebius import MoebiusMap, from_three_points
 from .plane import TAU, ExtendedComplex
 # majorana_roots and degeneracy_configuration go unused; bench/spans.py patches them
-from .symstate import RootMultiset, SymmetricState, dicke, majorana_roots, state_from_roots
-from .classify import DEFAULT_TOL, DegeneracyConfiguration, analyze, degeneracy_configuration
+from .symstate import (
+    RootMultiset, SymmetricState, dicke, majorana_roots, state_from_roots, state_to_doc
+)
+from .classify import DEFAULT_TOL, analyze, degeneracy_configuration
 
 OMEGA = cmath.exp(2j * math.pi / 3.0)
 #: slack for half-open domain edges; boundary points snap deterministically
 BOUNDARY_SLACK = 1e-9
 
-
-@dataclass(frozen=True)
-class TriangleFrame:
-    """The anchored equatorial triangle and the six maps preserving it."""
-
-    vertices: tuple[complex, complex, complex]
-    fold_group: tuple[MoebiusMap, ...]
-
-
-def triangle_frame() -> TriangleFrame:
-    vertices = (1.0 + 0.0j, OMEGA, OMEGA * OMEGA)
-    rotations = [MoebiusMap(OMEGA**a, 0.0, 0.0, 1.0) for a in range(3)]
-    flips = [MoebiusMap(0.0, OMEGA**a, 1.0, 0.0) for a in range(3)]
-    return TriangleFrame(vertices, tuple(rotations + flips))
-
-
-TRIANGLE = triangle_frame()
+#: the anchored equatorial triangle
+TRIANGLE = (1.0 + 0.0j, OMEGA, OMEGA * OMEGA)
+#: the six maps preserving it: the three rotations, then the three flips
+FOLD_GROUP = tuple(
+    [MoebiusMap(OMEGA**a, 0.0, 0.0, 1.0) for a in range(3)]
+    + [MoebiusMap(0.0, OMEGA**a, 1.0, 0.0) for a in range(3)]
+)
 
 
 @dataclass(frozen=True)
@@ -126,20 +118,6 @@ _FIXED = {
 }
 
 
-def representative_small(n: int, dc: DegeneracyConfiguration) -> SymmetricState:
-    """Fixed class representative for two or three qubits."""
-    if isinstance(dc, tuple):
-        dc = DegeneracyConfiguration(dc)
-    if n not in (2, 3):
-        raise DomainError("fixed small representatives cover n = 2 and n = 3")
-    if dc.n != n:
-        raise DomainError(f"partition {dc.partition} does not sum to n={n}")
-    entry = _FIXED.get((n, dc.partition))
-    if entry is None:
-        raise DomainError(f"invalid partition {dc.partition} for n={n}")
-    return entry[1]()
-
-
 # --- fundamental-domain folding ----------------------------------------------
 
 
@@ -165,7 +143,7 @@ def _fold(w: ExtendedComplex) -> tuple[float, float]:
     the equator edge.
     """
     images = []
-    for g in TRIANGLE.fold_group:
+    for g in FOLD_GROUP:
         theta, phi = _moving_param(g(w))
         if abs(theta - _HALF) <= BOUNDARY_SLACK:
             theta = _HALF
@@ -188,59 +166,13 @@ def _form(s: SymmetricState, tol: float) -> CanonicalForm:
         return CanonicalForm(n, dc.partition, params, build())
     # four sites, the doubled one (n = 5) first: three anchors and the mover
     sites = [site for site, _ in sorted(clustered.sites, key=lambda sm: -sm[1])]
-    anchor = from_three_points(*sites[:3], *TRIANGLE.vertices)
+    anchor = from_three_points(*sites[:3], *TRIANGLE)
     theta, phi = _fold(anchor(sites[3]))
     family = family_state_4 if n == 4 else family_state_5
     return CanonicalForm(n, dc.partition, (theta, phi), family(param_to_t(theta, phi)))
 
 
-def canonical_4(s: SymmetricState, tol: float = DEFAULT_TOL) -> CanonicalForm:
-    """Unique canonical form of a four-qubit state.
-
-    The partition is always ``analyze``'s.  Partitions (4), (3,1), (2,2)
-    map to the fixed representatives |S0>, |S1>, |S2>.  Partition (2,1,1)
-    maps to the family point (pi/2, 0), where the moving point joins the
-    z = 1 vertex.  For four distinct sites, three are sent to the triangle
-    and the fourth takes its fold image of least (theta, phi); see
-    :func:`_fold`.
-    """
-    if s.n != 4:
-        raise DomainError("canonical_4 needs a 4-qubit state")
-    return _form(s, tol)
-
-
-_HALF_FOLD = (MoebiusMap.identity(), MoebiusMap(0.0, 1.0, 1.0, 0.0))
-
-
-def canonical_5_degenerate(
-    s: SymmetricState, tol: float = DEFAULT_TOL
-) -> CanonicalForm:
-    """Unique canonical form of a five-qubit state with coinciding points.
-
-    The partition is always ``analyze``'s.  Partitions (5), (4,1), (3,2)
-    map to |S0>, |S1>, |S2>; (3,1,1) and (2,2,1) sit at the family points
-    (pi/2, 0) and (pi/2, 2pi/3).  For
-    partition (2,1,1,1) the doubled site goes to the z = 1 vertex, two of
-    the single sites to the other vertices, and the remaining image is
-    folded into the same fundamental domain as the four-qubit family.
-
-    The fold uses the full six-element triangle group even though only
-    {z, 1/z} preserves the anchored picture pointwise: the map fixing 1 and
-    sending (u, w) to (w, w^2) provably sends w^2 to u*w^2, so trading the
-    moving point against an anchored single shifts the family parameter by
-    a cube root of unity while staying in the same SLOCC class.  The
-    azimuth period of the class parameter is therefore 2*pi/3, not 2*pi.
-    """
-    if s.n != 5:
-        raise DomainError("canonical_5_degenerate needs a 5-qubit state")
-    if analyze(s, tol).dc.diversity >= 5:
-        raise DomainError("state has five distinct sites; use the generic form")
-    return _form(s, tol)
-
-
-def representative_5_generic(
-    s: SymmetricState, tol: float = DEFAULT_TOL
-) -> CanonicalForm:
+def _form_5_generic(s: SymmetricState, tol: float) -> CanonicalForm:
     """A representative of a five-qubit state with five distinct sites.
 
     Three sites are anchored on the triangle, the half turn z -> 1/z brings
@@ -249,32 +181,26 @@ def representative_5_generic(
     [0, 2pi/3).  The parameterization is over-complete, so the result is
     flagged non-unique.
     """
-    if s.n != 5:
-        raise DomainError("representative_5_generic needs a 5-qubit state")
     _, dc, clustered = analyze(s, tol)
-    if dc.diversity != 5:
-        raise DomainError("state has coinciding sites; use the degenerate form")
     sites = clustered.points()
-    anchor = from_three_points(*sites[:3], *TRIANGLE.vertices)
+    anchor = from_three_points(*sites[:3], *TRIANGLE)
     w4 = anchor(sites[3])
     w5 = anchor(sites[4])
     theta1, phi1 = _moving_param(w4)
-    half = 0.5 * math.pi
-    flip = theta1 > half + BOUNDARY_SLACK or (
-        abs(theta1 - half) <= BOUNDARY_SLACK and phi1 > math.pi + BOUNDARY_SLACK
+    flip = theta1 > _HALF + BOUNDARY_SLACK or (
+        abs(theta1 - _HALF) <= BOUNDARY_SLACK and phi1 > math.pi + BOUNDARY_SLACK
     )
     if flip:
-        w4 = _HALF_FOLD[1](w4)
-        w5 = _HALF_FOLD[1](w5)
+        w4 = FOLD_GROUP[3](w4)
+        w5 = FOLD_GROUP[3](w5)
     third = TAU / 3.0
     for _ in range(2):
         _, phi2 = _moving_param(w5)
         spin = int(_snap_phi(phi2) // third) % 3
         if spin == 0:
             break
-        g = MoebiusMap(OMEGA**spin, 0.0, 0.0, 1.0)
-        w4 = g(w4)
-        w5 = g(w5)
+        w4 = FOLD_GROUP[spin](w4)
+        w5 = FOLD_GROUP[spin](w5)
     theta1, phi1 = _moving_param(w4)
     theta2, phi2 = _moving_param(w5)
     phi1 = _snap_phi(phi1)
@@ -284,7 +210,7 @@ def representative_5_generic(
     )
     if degenerate_pole:
         # a moving point at a pole has t = 0 or infinite; build from roots
-        finite = list(TRIANGLE.vertices)
+        finite = list(TRIANGLE)
         inf_count = 0
         for w in (w4, w5):
             if w.is_infinite:
@@ -300,21 +226,37 @@ def representative_5_generic(
 
 
 def canonicalize(s: SymmetricState, tol: float = DEFAULT_TOL) -> CanonicalForm:
-    """Canonical form of any state with n <= 5 qubits."""
+    """Canonical form of any state with n <= 5 qubits.
+
+    The partition is always ``analyze``'s.  Every partition with at most
+    three sites maps to a fixed representative; (2,1,1) and (3,1,1) sit at
+    the family point (pi/2, 0), where the moving point joins the z = 1
+    vertex, and (2,2,1) at (pi/2, 2pi/3).  For four distinct sites (n = 4)
+    or partition (2,1,1,1) the doubled site, if any, goes to the z = 1
+    vertex, two more sites to the other vertices, and the remaining image
+    takes its fold image of least (theta, phi); see :func:`_fold`.  Five
+    distinct sites get the over-complete generic representative, flagged
+    non-unique.
+
+    At n = 5 the fold uses the full six-element triangle group even though
+    only {z, 1/z} preserves the anchored picture pointwise: the map fixing 1
+    and sending (u, w) to (w, w^2) provably sends w^2 to u*w^2, so trading
+    the moving point against an anchored single shifts the family parameter
+    by a cube root of unity while staying in the same SLOCC class.  The
+    azimuth period of the class parameter is therefore 2*pi/3, not 2*pi.
+    """
     n = s.n
     if n > 5:
         raise DomainError("canonical forms are available for n <= 5 only")
     if n == 1:
         return CanonicalForm(1, (1,), (), dicke(1, 0))
     if n == 5 and analyze(s, tol).dc.diversity == 5:
-        return representative_5_generic(s, tol)
+        return _form_5_generic(s, tol)
     return _form(s, tol)
 
 
 def form_to_doc(cf: CanonicalForm) -> dict:
     """JSON document {"n", "partition", "params", "state"}."""
-    from .symstate import state_to_doc
-
     return {
         "n": cf.n,
         "partition": [int(p) for p in cf.partition],

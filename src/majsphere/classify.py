@@ -11,9 +11,11 @@ d(d-1)(d-2) of them for d sites, and accept the first that carries the full
 clustered multiset, which keeps the decision exhaustive.  The candidates are
 screened as arrays, in blocks of bounded size, before the exact per-map
 check.  When sites sit at the edge of the tolerance, a site assignment the
-screen keeps also tries the maps through the other source triples.  The
-degeneracy configuration (the sorted multiplicity partition) is invariant
-under all of these operations and provides the cheap first filter.
+screen keeps also tries the maps through the other source triples.  Only
+one- and two-site configurations get a witness built directly; the search
+runs from three sites up.  The degeneracy configuration (the sorted
+multiplicity partition) is invariant under all of these operations and
+provides the cheap first filter.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DomainError
-from .moebius import MoebiusMap, from_three_points, is_projective_unitary
+from .moebius import MoebiusMap, cross_ratio, from_three_points, is_projective_unitary
 from .plane import (
     INFINITY,
     ExtendedComplex,
@@ -173,10 +175,6 @@ def _rotation_to_north(p: ExtendedComplex) -> MoebiusMap:
     beta = 1.0 / math.hypot(1.0, abs(z))
     alpha = -beta * z.conjugate()
     return MoebiusMap(alpha, -beta, beta, alpha.conjugate())
-
-
-def _rotation_between(p: ExtendedComplex, q: ExtendedComplex) -> MoebiusMap:
-    return _rotation_to_north(q).inverse().compose(_rotation_to_north(p))
 
 
 def _standard_position(
@@ -383,7 +381,8 @@ def _low_diversity_witness(
 ) -> Optional[MoebiusMap]:
     d = len(sites1.sites)
     if d == 1:
-        return _rotation_between(sites1.sites[0][0], sites2.sites[0][0])
+        p, q = sites1.sites[0][0], sites2.sites[0][0]
+        return _rotation_to_north(q).inverse().compose(_rotation_to_north(p))
     # d == 2: anchor the higher-multiplicity site on both sides
     def ordered(sites: ClusteredRoots):
         pairs = sorted(sites.sites, key=lambda p: -p[1])
@@ -418,15 +417,6 @@ def _decide(
     if d <= 2:
         witness = _low_diversity_witness(sites1, sites2, tol, unitary)
         return None if witness is None else EquivalenceWitness(witness, kind)
-    if d == 3 and not unitary:
-        # a single class: any multiplicity-respecting site assignment works
-        target = next(_target_triples(sites1, sites2, 1))[0]
-        points2 = sites2.points()
-        try:
-            witness = from_three_points(*sites1.points(), *(points2[j] for j in target))
-        except DomainError:
-            return None
-        return EquivalenceWitness(witness, kind)
     witness = _witness_map(sites1, sites2, tol, unitary)
     return None if witness is None else EquivalenceWitness(witness, kind)
 
@@ -436,10 +426,11 @@ def slocc_equivalent(
 ) -> Optional[EquivalenceWitness]:
     """Moebius witness that s1 and s2 lie in the same SLOCC class, or None.
 
-    Diversity up to three is a single class per partition, so a witness is
-    built directly; beyond that the first three serialized sites of s1 are
-    sent to every multiplicity-compatible ordered target triple of s2 and the
-    first map carrying the whole multiset is accepted.
+    One or two sites get a witness built directly.  From three sites up the
+    first three serialized sites of s1 are sent to every
+    multiplicity-compatible ordered target triple of s2 and the first map
+    carrying the whole multiset is accepted; at three sites, a single class
+    per partition, that is the map through the first compatible triple.
     """
     return _decide(s1, s2, tol, unitary=False)
 
@@ -449,8 +440,8 @@ def locc_equivalent(
 ) -> Optional[EquivalenceWitness]:
     """Rotation witness that s1 and s2 are LOCC-equivalent, or None.
 
-    Same fixed-triple enumeration as :func:`slocc_equivalent` (three sites
-    included) but candidates must also pass the projective-unitarity test;
+    Same fixed-triple enumeration as :func:`slocc_equivalent`, but
+    candidates must also pass the projective-unitarity test;
     one- and two-site configurations are handled by an explicit rotation
     construction.
     """
@@ -469,8 +460,6 @@ def cross_ratio_fingerprint(
     (real, imaginary) part.  Two diversity-four states can be
     SLOCC-equivalent only if their fingerprints intersect.
     """
-    from .moebius import cross_ratio
-
     _, clustered = degeneracy_configuration(r, tol)
     if len(clustered.sites) != 4:
         raise DomainError("cross-ratio fingerprint needs exactly 4 distinct sites")

@@ -206,9 +206,8 @@ def _cmd_plot(args, path: str):
         roots = _symstate.majorana_roots(_symstate.state_from_doc(doc))
     else:
         roots = _symstate.roots_from_doc(doc)
-    spec = _sphereplot.spec_from_roots(roots, args.tol)
     with open(args.svg, "w", encoding="utf-8") as fh:
-        fh.write(_sphereplot.render_svg(spec))
+        fh.write(_sphereplot.render_svg(roots, args.tol))
     return 0, []
 
 
@@ -294,10 +293,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return _dispatch(args)
-    except (DomainError, NumericalError, ResourceLimitError) as exc:
-        print(f"majsphere: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError) as exc:
+    except (DomainError, NumericalError, ResourceLimitError, OSError, json.JSONDecodeError) as exc:
         print(f"majsphere: {exc}", file=sys.stderr)
         return 1
 

@@ -10,32 +10,14 @@ when points coincide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .classify import DEFAULT_TOL, degeneracy_configuration
-from .plane import SpherePoint, sphere_xyz, to_sphere
+from .plane import point_xyz
 from .symstate import RootMultiset
 
 _RADIUS = 130.0
 _CENTERS = ((160.0, 170.0), (480.0, 170.0))
 _WIDTH, _HEIGHT = 640, 360
 _RIM_EPS = 1e-9
-
-
-@dataclass(frozen=True)
-class PlotSpec:
-    """Sites (sphere point, multiplicity) and an optional title."""
-
-    sites: tuple[tuple[SpherePoint, int], ...]
-    title: str = ""
-
-
-def spec_from_roots(r: RootMultiset, tol: float = DEFAULT_TOL, title: str = "") -> PlotSpec:
-    _, clustered = degeneracy_configuration(r, tol)
-    sites = tuple(
-        (to_sphere(site), mult) for site, mult in clustered.sites
-    )
-    return PlotSpec(sites, title=title)
 
 
 def _fmt(x: float) -> str:
@@ -51,15 +33,17 @@ def _project(xyz: tuple[float, float, float], view: int) -> tuple[float, float, 
     return px, py, visible
 
 
-def render_svg(spec: PlotSpec) -> str:
+def render_svg(r: RootMultiset, tol: float = DEFAULT_TOL, title: str = "") -> str:
+    """SVG document of the root multiset's sites, clustered at ``tol``."""
+    _, clustered = degeneracy_configuration(r, tol)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
     ]
-    if spec.title:
+    if title:
         safe = (
-            spec.title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+            title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         )
         parts.append(
             f'<text x="16" y="24" font-family="sans-serif" font-size="14">{safe}</text>'
@@ -78,8 +62,8 @@ def render_svg(spec: PlotSpec) -> str:
             f'<text x="{_fmt(cx)}" y="{_fmt(cy + _RADIUS + 28)}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="13">{label}</text>'
         )
-        for sp, mult in spec.sites:
-            px, py, visible = _project(sphere_xyz(sp), view)
+        for site, mult in clustered.sites:
+            px, py, visible = _project(point_xyz(site), view)
             if not visible:
                 continue
             parts.append(

@@ -115,7 +115,7 @@ def canonical_4_all_triples(s, tol=DEFAULT_TOL):
     params = []
     for triple in itertools.permutations(range(4), 3):
         rest = next(i for i in range(4) if i not in triple)
-        anchor = from_three_points(*(sites[i] for i in triple), *TRIANGLE.vertices)
+        anchor = from_three_points(*(sites[i] for i in triple), *TRIANGLE)
         w = anchor(sites[rest])
         params.append(_fold(w))
     return params

@@ -17,8 +17,7 @@ from majsphere import (
     SymmetricState,
     apply_symmetric,
     apply_tensor,
-    canonical_4,
-    canonical_5_degenerate,
+    canonicalize,
     chordal_distance,
     classify_map,
     cocircularity_witness,
@@ -38,7 +37,6 @@ from majsphere import (
     majorana_polynomial,
     majorana_roots,
     param_to_t,
-    representative_5_generic,
     slocc_equivalent,
     state_from_roots,
     symmetrize,
@@ -140,7 +138,7 @@ def test_criterion_3_four_qubit_family():
         theta = rng.uniform(0.03, HALF_PI - 0.03)
         phi = rng.uniform(0.03, THIRD - 0.03)
         scrambled = apply_symmetric(random_moebius(rng), family_state_4(param_to_t(theta, phi)))
-        form = canonical_4(scrambled)
+        form = canonicalize(scrambled)
         assert form.partition == (1, 1, 1, 1)
         worst = max(worst, abs(form.params[0] - theta), abs(form.params[1] - phi))
         params = canonical_4_all_triples(scrambled)
@@ -183,7 +181,7 @@ def test_criterion_4_five_qubit_families():
         scrambled = apply_symmetric(
             random_moebius(rng), family_state_5(param_to_t(theta, phi))
         )
-        form = canonical_5_degenerate(scrambled)
+        form = canonicalize(scrambled)
         assert form.partition == (2, 1, 1, 1)
         worst = max(worst, abs(form.params[0] - theta), abs(form.params[1] - phi))
     ok = worst <= 1e-6
@@ -201,14 +199,14 @@ def test_criterion_4_five_qubit_families():
 
     for _ in range(25):
         state = state_from_roots(separated_root_multiset(rng, 5, 0.15))
-        form = representative_5_generic(state)
+        form = canonicalize(state)
         witness = slocc_equivalent(state, form.state)
         ok &= witness is not None
         ok &= fidelity(apply_symmetric(witness.map, state), form.state) >= 1 - 1e-8
 
-    triple = canonical_5_degenerate(family_state_5(1.0))
+    triple = canonicalize(family_state_5(1.0))
     ok &= triple.partition == (3, 1, 1) and triple.params == (HALF_PI, 0.0)
-    double = canonical_5_degenerate(family_state_5(OMEGA))
+    double = canonicalize(family_state_5(OMEGA))
     ok &= double.partition == (2, 2, 1) and double.params == (HALF_PI, THIRD)
     report("4 five-qubit canonical families", ok, f"(recover {worst:.2e})")
 

@@ -13,8 +13,6 @@ from majsphere import (
     RootMultiset,
     SymmetricState,
     apply_symmetric,
-    canonical_4,
-    canonical_5_degenerate,
     canonicalize,
     dicke,
     equal_up_to_scale,
@@ -27,14 +25,11 @@ from majsphere import (
     majorana_polynomial,
     majorana_roots,
     param_to_t,
-    representative_5_generic,
-    representative_small,
     slocc_equivalent,
     state_from_roots,
-    triangle_frame,
 )
-from majsphere.canonical import BOUNDARY_SLACK
-from majsphere.classify import DegeneracyConfiguration, analyze
+from majsphere.canonical import BOUNDARY_SLACK, FOLD_GROUP, TRIANGLE
+from majsphere.classify import analyze
 from helpers import OMEGA, canonical_4_all_triples, count_solves, proj_equal, random_moebius
 
 HALF_PI = math.pi / 2
@@ -51,9 +46,8 @@ def poly_prod(*factors):
 
 class TestTriangleFrame:
     def test_fold_group_permutes_vertices(self):
-        frame = triangle_frame()
-        verts = frame.vertices
-        for g in frame.fold_group:
+        verts = TRIANGLE
+        for g in FOLD_GROUP:
             images = [complex(g(v)) for v in verts]
             for img in images:
                 assert min(abs(img - v) for v in verts) < 1e-12
@@ -63,11 +57,10 @@ class TestTriangleFrame:
             ) > 0.5
 
     def test_fold_group_closed_under_composition(self):
-        frame = triangle_frame()
-        for g in frame.fold_group:
-            for h in frame.fold_group:
+        for g in FOLD_GROUP:
+            for h in FOLD_GROUP:
                 gh = g.compose(h)
-                assert any(proj_equal(gh, k, 1e-12) for k in frame.fold_group)
+                assert any(proj_equal(gh, k, 1e-12) for k in FOLD_GROUP)
 
     def test_fold_maps_realize_rotations_through_the_tensor_oracle(self):
         # z -> exp(-i psi) z is the polar-axis rotation by psi and z -> 1/z
@@ -127,7 +120,6 @@ class TestFamilyPolynomials:
         # factoring the family state must put the non-vertex root at (theta, phi)
         from majsphere import to_sphere
 
-        frame = triangle_frame()
         rng = np.random.default_rng(29)
         for _ in range(20):
             theta = rng.uniform(0.1, math.pi / 2 - 0.1)
@@ -136,7 +128,7 @@ class TestFamilyPolynomials:
             moving = [
                 z
                 for z in roots.finite_roots
-                if min(abs(z - v) for v in frame.vertices) > 1e-6
+                if min(abs(z - v) for v in TRIANGLE) > 1e-6
             ]
             assert len(moving) == 1
             sp = to_sphere(moving[0])
@@ -198,42 +190,44 @@ class TestReadmeFourQubitTable:
 
 class TestRepresentativeSmall:
     def test_two_qubits(self):
-        assert fidelity(representative_small(2, DegeneracyConfiguration((2,))), dicke(2, 0)) == 1.0
-        rep = representative_small(2, DegeneracyConfiguration((1, 1)))
+        double = state_from_roots(RootMultiset(2, (0.3 - 0.7j, 0.3 - 0.7j), 0))
+        assert canonicalize(double).partition == (2,)
+        assert fidelity(canonicalize(double).state, dicke(2, 0)) == 1.0
+        rep = canonicalize(state_from_roots(RootMultiset(2, (1.2 + 0.4j, -0.5j), 0))).state
         assert fidelity(rep, dicke(2, 1)) == 1.0
         r = majorana_roots(rep)
         assert r.finite_roots == (0j,) and r.infinity_count == 1
 
     def test_three_qubits(self):
-        assert fidelity(representative_small(3, DegeneracyConfiguration((3,))), dicke(3, 0)) == 1.0
-        assert fidelity(representative_small(3, DegeneracyConfiguration((2, 1))), dicke(3, 1)) == 1.0
+        triple = state_from_roots(RootMultiset(3, (0.4 + 0.9j,) * 3, 0))
+        assert canonicalize(triple).partition == (3,)
+        assert fidelity(canonicalize(triple).state, dicke(3, 0)) == 1.0
+        pair = state_from_roots(RootMultiset(3, (-0.8 + 0.1j, -0.8 + 0.1j), 1))
+        assert canonicalize(pair).partition == (2, 1)
+        assert fidelity(canonicalize(pair).state, dicke(3, 1)) == 1.0
         ghz = SymmetricState([1.0, 0.0, 0.0, 1.0])
-        assert fidelity(representative_small(3, (1, 1, 1)), ghz) >= 1 - 1e-12
-
-    def test_invalid_inputs(self):
-        with pytest.raises(DomainError):
-            representative_small(4, DegeneracyConfiguration((4,)))
-        with pytest.raises(DomainError):
-            representative_small(3, DegeneracyConfiguration((2, 2)))
+        generic = state_from_roots(RootMultiset(3, (0.2 + 0.3j, -1.5 + 0.5j, 2.0 - 1.0j), 0))
+        assert canonicalize(generic).partition == (1, 1, 1)
+        assert fidelity(canonicalize(generic).state, ghz) >= 1 - 1e-12
 
 
 class TestCanonical4:
     def test_fixed_partitions(self):
-        assert canonical_4(dicke(4, 0)).partition == (4,)
-        assert canonical_4(dicke(4, 1)).partition == (3, 1)
-        form = canonical_4(dicke(4, 2))
+        assert canonicalize(dicke(4, 0)).partition == (4,)
+        assert canonicalize(dicke(4, 1)).partition == (3, 1)
+        form = canonicalize(dicke(4, 2))
         assert form.partition == (2, 2) and form.params == ()
 
     def test_doubled_vertex_partition(self):
         s = family_state_4(1.0)
-        form = canonical_4(s)
+        form = canonicalize(s)
         assert form.partition == (2, 1, 1)
         assert form.params == (HALF_PI, 0.0)
         assert fidelity(form.state, s) >= 1 - 1e-12
 
     def test_already_canonical_configuration(self):
         s = state_from_roots(RootMultiset(4, (1 + 0j, OMEGA, OMEGA**2, 2 + 0j), 0))
-        form = canonical_4(s)
+        form = canonicalize(s)
         assert form.partition == (1, 1, 1, 1)
         assert form.params[0] == pytest.approx(2 * math.atan(0.5), abs=1e-12)
         assert form.params[1] == pytest.approx(0.0, abs=1e-12)
@@ -245,7 +239,7 @@ class TestCanonical4:
             phi = rng.uniform(0.02, THIRD - 0.02)
             state = family_state_4(param_to_t(theta, phi))
             image = apply_symmetric(random_moebius(rng), state)
-            form = canonical_4(image)
+            form = canonicalize(image)
             assert form.partition == (1, 1, 1, 1)
             assert abs(form.params[0] - theta) <= 1e-6
             assert abs(form.params[1] - phi) <= 1e-6
@@ -255,8 +249,8 @@ class TestCanonical4:
         for _ in range(20):
             theta = rng.uniform(0.05, HALF_PI - 0.05)
             phi = rng.uniform(0.02, THIRD - 0.02)
-            form = canonical_4(family_state_4(param_to_t(theta, phi)))
-            again = canonical_4(form.state)
+            form = canonicalize(family_state_4(param_to_t(theta, phi)))
+            again = canonicalize(form.state)
             assert form.partition == again.partition
             assert max(abs(a - b) for a, b in zip(form.params, again.params)) <= 1e-9
 
@@ -266,13 +260,13 @@ class TestCanonical4:
             theta = rng.uniform(0.05, HALF_PI - 0.05)
             phi = rng.uniform(0.02, THIRD - 0.02)
             s = apply_symmetric(random_moebius(rng), family_state_4(param_to_t(theta, phi)))
-            form = canonical_4(s)
+            form = canonicalize(s)
             assert slocc_equivalent(s, form.state) is not None
 
     def test_equator_domain_edge(self):
         for phi in (0.2, 1.0):
             state = family_state_4(param_to_t(HALF_PI, phi))
-            form = canonical_4(state)
+            form = canonicalize(state)
             assert form.params[0] == pytest.approx(HALF_PI, abs=1e-9)
             assert form.params[1] == pytest.approx(phi, abs=1e-9)
 
@@ -284,7 +278,7 @@ class TestCanonical4:
         # mapping a configuration whose folded image grazes a vertex
         u = 1.0 + 1e-9 * 1j
         t = state_from_roots(RootMultiset(4, (complex(u), OMEGA, OMEGA**2, 1 + 0j), 0))
-        form = canonical_4(t)
+        form = canonicalize(t)
         assert form.partition == (2, 1, 1)
 
     def test_all_triples_agree(self):
@@ -311,20 +305,16 @@ class TestCanonical4:
             assert slocc_equivalent(family_state_4(param_to_t(*p1)),
                                     family_state_4(param_to_t(*p2))) is None
 
-    def test_wrong_qubit_count(self):
-        with pytest.raises(DomainError):
-            canonical_4(dicke(3, 0))
-
 
 class TestCanonical5Degenerate:
     def test_fixed_partitions(self):
-        assert canonical_5_degenerate(dicke(5, 0)).partition == (5,)
-        assert canonical_5_degenerate(dicke(5, 1)).partition == (4, 1)
-        assert canonical_5_degenerate(dicke(5, 2)).partition == (3, 2)
+        assert canonicalize(dicke(5, 0)).partition == (5,)
+        assert canonicalize(dicke(5, 1)).partition == (4, 1)
+        assert canonicalize(dicke(5, 2)).partition == (3, 2)
 
     def test_triple_vertex_point(self):
         s = state_from_roots(RootMultiset(5, (1 + 0j, 1 + 0j, 1 + 0j, OMEGA, OMEGA**2), 0))
-        form = canonical_5_degenerate(s)
+        form = canonicalize(s)
         assert form.partition == (3, 1, 1)
         assert form.params == (HALF_PI, 0.0)
         assert fidelity(form.state, s) >= 1 - 1e-10
@@ -333,7 +323,7 @@ class TestCanonical5Degenerate:
         s = state_from_roots(
             RootMultiset(5, (1 + 0j, 1 + 0j, OMEGA, OMEGA**2, OMEGA**2), 0)
         )
-        form = canonical_5_degenerate(s)
+        form = canonicalize(s)
         assert form.partition == (2, 2, 1)
         assert form.params == (HALF_PI, THIRD)
         assert fidelity(form.state, s) >= 1 - 1e-10
@@ -345,7 +335,7 @@ class TestCanonical5Degenerate:
             phi = rng.uniform(0.02, THIRD - 0.02)
             state = family_state_5(param_to_t(theta, phi))
             image = apply_symmetric(random_moebius(rng), state)
-            form = canonical_5_degenerate(image)
+            form = canonicalize(image)
             assert form.partition == (2, 1, 1, 1)
             assert abs(form.params[0] - theta) <= 1e-6
             assert abs(form.params[1] - phi) <= 1e-6
@@ -353,7 +343,7 @@ class TestCanonical5Degenerate:
     def test_example_recovery_at_08_20(self):
         state = family_state_5(param_to_t(0.8, 2.0))
         image = apply_symmetric(random_moebius(np.random.default_rng(38)), state)
-        form = canonical_5_degenerate(image)
+        form = canonicalize(image)
         assert abs(form.params[0] - 0.8) <= 1e-6
         assert abs(form.params[1] - 2.0) <= 1e-6
 
@@ -375,22 +365,13 @@ class TestCanonical5Degenerate:
         s2 = family_state_5(t * OMEGA)
         witness = slocc_equivalent(s1, s2)
         assert witness is not None
-        form1 = canonical_5_degenerate(s1)
-        form2 = canonical_5_degenerate(s2)
+        form1 = canonicalize(s1)
+        form2 = canonicalize(s2)
         assert max(abs(a - b) for a, b in zip(form1.params, form2.params)) <= 1e-9
 
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            canonical_5_degenerate(dicke(4, 0))
-        generic = state_from_roots(
-            RootMultiset(5, (1 + 0j, OMEGA, OMEGA**2, 2 + 0j, 0.5j), 0)
-        )
-        with pytest.raises(DomainError):
-            canonical_5_degenerate(generic)
-
     def test_idempotence(self):
-        form = canonical_5_degenerate(family_state_5(param_to_t(0.9, 1.7)))
-        again = canonical_5_degenerate(form.state)
+        form = canonicalize(family_state_5(param_to_t(0.9, 1.7)))
+        again = canonicalize(form.state)
         assert max(abs(a - b) for a, b in zip(form.params, again.params)) <= 1e-9
 
     def test_representative_is_slocc_equivalent_to_input(self):
@@ -399,7 +380,7 @@ class TestCanonical5Degenerate:
             theta = rng.uniform(0.05, HALF_PI - 0.05)
             phi = rng.uniform(0.02, THIRD - 0.02)
             s = apply_symmetric(random_moebius(rng), family_state_5(param_to_t(theta, phi)))
-            form = canonical_5_degenerate(s)
+            form = canonicalize(s)
             assert slocc_equivalent(s, form.state) is not None
 
 
@@ -408,18 +389,18 @@ class TestFold:
     ``BOUNDARY_SLACK`` of an edge of the domain."""
 
     @pytest.mark.parametrize(
-        "decide, family, partition",
+        "family, partition",
         [
-            (canonical_4, family_state_4, (1, 1, 1, 1)),
-            (canonical_5_degenerate, family_state_5, (2, 1, 1, 1)),
+            (family_state_4, (1, 1, 1, 1)),
+            (family_state_5, (2, 1, 1, 1)),
         ],
     )
-    def test_band_below_the_equator_folds(self, decide, family, partition):
+    def test_band_below_the_equator_folds(self, family, partition):
         # the band straddles the snap edge theta = pi/2 - BOUNDARY_SLACK, so
         # the six fold images of one point round to either side of it
         for offset in np.linspace(0.95e-9, 1.05e-9, 21):
             for phi in np.linspace(0.05, 2.05, 41):
-                form = decide(family(param_to_t(HALF_PI - offset, phi)))
+                form = canonicalize(family(param_to_t(HALF_PI - offset, phi)))
                 assert form.partition == partition
                 assert 0.0 <= form.params[1] < THIRD
 
@@ -455,7 +436,7 @@ class TestRepresentative5Generic:
             (1 + 0j, OMEGA, OMEGA**2, 2 + 0j, complex(3 * cmath.exp(-1j))),
             0,
         )
-        form = representative_5_generic(state_from_roots(roots))
+        form = canonicalize(state_from_roots(roots))
         assert not form.unique
         assert form.params[0] == pytest.approx(2 * math.atan(0.5), abs=1e-9)
         assert form.params[1] == pytest.approx(0.0, abs=1e-9)
@@ -468,7 +449,7 @@ class TestRepresentative5Generic:
             from helpers import separated_root_multiset
 
             s = state_from_roots(separated_root_multiset(rng, 5, 0.15))
-            form = representative_5_generic(s)
+            form = canonicalize(s)
             assert form.partition == (1, 1, 1, 1, 1)
             assert slocc_equivalent(s, form.state) is not None
             # azimuth of the fifth point folded into [0, 2pi/3)
@@ -481,16 +462,10 @@ class TestRepresentative5Generic:
         from helpers import separated_root_multiset
 
         s = state_from_roots(separated_root_multiset(rng, 5, 0.2))
-        form = representative_5_generic(s)
+        form = canonicalize(s)
         image = apply_symmetric(random_moebius(rng), s)
-        form2 = representative_5_generic(image)
+        form2 = canonicalize(image)
         assert slocc_equivalent(form.state, form2.state) is not None
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            representative_5_generic(dicke(5, 1))
-        with pytest.raises(DomainError):
-            representative_5_generic(dicke(4, 0))
 
 
 @st.composite

@@ -442,6 +442,38 @@ class TestExhaustiveSearch:
                 assert np.array_equal(witness.map.matrix, reference)
                 assert_oracle_witness(witness, s1, s2)
 
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        partition=st.sampled_from(
+            [p for n in range(3, 9) for p in all_partitions(n) if len(p) == 3]
+        ),
+        relation=st.sampled_from(["norm4", "norm20", "norm100", "rotation", "unrelated"]),
+        anchors=st.sampled_from(ANCHORS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_three_sites_take_the_first_compatible_triple(self, partition, relation, anchors, seed):
+        # three sites of one partition are a single SLOCC class, so the
+        # witness is the map through the first multiplicity-compatible
+        # target triple: the direct construction the decider once used
+        rng = np.random.default_rng(seed)
+        mults = list(rng.permutation(partition))
+        s1 = state_at(separated_points(rng, 3, 0.15, anchors=anchors), mults)
+        if relation == "unrelated":
+            s2 = state_at(separated_points(rng, 3, 0.15, anchors=anchors), mults)
+        elif relation == "rotation":
+            s2 = apply_symmetric(random_rotation(rng), s1)
+        else:
+            s2 = apply_symmetric(random_moebius(rng, float(relation[4:])), s1)
+        _, _, sites1 = analyze(s1)
+        _, _, sites2 = analyze(s2)
+        first_target = next(_target_triples(sites1, sites2, 1))[0]
+        reference = from_three_points(
+            *sites1.points(), *(sites2.points()[j] for j in first_target)
+        )
+        witness = slocc_equivalent(s1, s2)
+        assert witness is not None
+        assert np.array_equal(witness.map.matrix, reference.matrix)
+
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(
         d=st.integers(4, 5),
